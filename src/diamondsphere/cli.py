@@ -27,6 +27,8 @@ from .ensemble import (
 )
 from .geometry import PointSet
 from .metrics import (
+    ENVELOPE_UPPER_COEFF,
+    cap_discrepancy_envelope,
     compute_metrics,
     equatorial_discrepancy,
     l2_discrepancy_quadrature,
@@ -310,8 +312,7 @@ def cmd_discrepancy(args) -> int:
         out["witness_center"] = [c.x, c.y, c.z]
         out["witness_t"] = sup.witness.t
         if model.is_simple:
-            lower = math.sqrt(n - 2) / n
-            upper = (4.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(n)
+            lower, upper = cap_discrepancy_envelope(n)
             out["envelope"] = {"lower": lower, "upper": upper}
             ok = lower - 1e-12 <= sup.value <= upper + 1e-12
             out["envelope_ok"] = bool(ok)
@@ -348,7 +349,7 @@ def cmd_plot(args) -> int:
             ns,
             {"sqrt(N) * sup-cap estimate": sup_vals,
              "sqrt(N) * polar maximum": polar_vals},
-            guides=[("1", 1.0), ("4+2*sqrt(2)", 4.0 + 2.0 * math.sqrt(2.0))],
+            guides=[("1", 1.0), ("4+2*sqrt(2)", ENVELOPE_UPPER_COEFF)],
             title="scale-free cap discrepancy, one-piece model",
         )
     with open(args.output, "w", newline="\n") as f:

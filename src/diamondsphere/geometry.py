@@ -134,7 +134,7 @@ class PointSet:
             raise ValueError("coords must be a nonempty (N, 3) array")
         n2 = np.einsum("ij,ij->i", coords, coords)
         worst = float(np.max(np.abs(n2 - 1.0)))
-        if worst > UNIT_NORM_TOL:
+        if not worst <= UNIT_NORM_TOL:  # NaN compares False both ways
             raise ValueError(f"row norms deviate from 1 by up to {worst:.3e}")
         coords.setflags(write=False)
         self.coords = coords

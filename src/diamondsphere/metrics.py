@@ -47,6 +47,16 @@ MEAN_CHORD = 4.0 / 3.0
 # scripts/calibrate_stolarsky.py re-derives it by quadrature.
 STOLARSKY_CONSTANT = 8.0
 
+# The sup cap discrepancy of the one-piece r = 4x model lies in
+# [sqrt(N - 2)/N, ENVELOPE_UPPER_COEFF/sqrt(N)]; the polar profile
+# attains the lower end.
+ENVELOPE_UPPER_COEFF = 4.0 + 2.0 * math.sqrt(2.0)
+
+
+def cap_discrepancy_envelope(n: int) -> tuple[float, float]:
+    """Guaranteed (lower, upper) band of the one-piece model's sup discrepancy."""
+    return math.sqrt(n - 2) / n, ENVELOPE_UPPER_COEFF / math.sqrt(n)
+
 
 def _coords(points) -> np.ndarray:
     if isinstance(points, PointSet):
@@ -267,73 +277,98 @@ def mesh_ratio(points, partition: Partition | None = None,
 # pairwise energies
 
 
-def _row_partials(coords: np.ndarray, kernel, lo: int, hi: int) -> np.ndarray:
-    out = np.empty(hi - lo)
-    for k, i in enumerate(range(lo, hi)):
-        d2 = np.sum((coords[i + 1:] - coords[i]) ** 2, axis=1)
-        out[k] = kernel(d2)
-    return out
+# Rows per tile of the pair sweep.  The tile grid depends on N only, so
+# every row's partial sum is the same whichever worker computes it.
+_TILE_ROWS = 8
 
 
-def _pair_sum(coords: np.ndarray, kernel, workers: int | None) -> float:
-    """2 * sum over i < j of kernel terms, worker-count independent.
+def _tile_partials(xyz, a: int, riesz_s: tuple[float, ...], log: bool,
+                   distance: bool) -> np.ndarray:
+    """Per-row partial sums of rows a .. a + _TILE_ROWS against all later columns.
 
-    Each row's partial sum is computed from the same slice regardless of
-    scheduling, and the partials are combined with exact summation, so
-    any worker count yields bit-identical results.
+    Returns one row of partials per kernel, in the order riesz_s, log,
+    distance.  Row k of the tile pairs with tile columns k and beyond;
+    the lower-left triangle before that is padded with d2 = 1 and its
+    terms are zeroed.
     """
+    x, y, z = xyz
+    b = min(a + _TILE_ROWS, len(x) - 1)
+    rows = b - a
+    d = x[a + 1:] - x[a:b, None]
+    d2 = d * d
+    for c in (y, z):
+        np.subtract(c[a + 1:], c[a:b, None], out=d)
+        d *= d
+        d2 += d
+    pad = np.tri(rows, rows - 1, -1, dtype=bool)
+    d2[:, :rows - 1][pad] = 1.0
+    if (riesz_s or log) and float(d2.min()) < 1e-24:
+        raise DuplicatePointError("coincident points make this energy singular")
+
+    def row_sums(term):
+        term[:, :rows - 1][pad] = 0.0
+        return term.sum(axis=1)
+
+    dist = np.sqrt(d2) if distance or 1.0 in riesz_s else None
+    out = [row_sums(1.0 / dist if s == 1.0 else d2 ** (-s / 2.0)) for s in riesz_s]
+    if log:
+        out.append(-0.5 * np.log(d2).sum(axis=1))  # the padding adds log 1 = 0
+    if distance:
+        out.append(row_sums(dist))
+    return np.array(out)
+
+
+def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
+               log: bool = False, distance: bool = False,
+               workers: int | None = None) -> list[float]:
+    """2 * sum over i < j of each requested kernel, in one sweep of the pairs.
+
+    Returns the Riesz sums in riesz_s order, then the log sum, then the
+    distance sum.  Squared distances are computed once per tile and
+    shared by every kernel.  Each row's partial sums come from the same
+    tile whatever the worker count, and the partials are combined with
+    exact summation, so any worker count yields bit-identical results.
+    Riesz and log sums raise DuplicatePointError on coincident points; a
+    distance-only sweep accepts them.
+    """
+    if any(s <= 0 for s in riesz_s):
+        raise ValueError("Riesz exponent must be positive")
     n = len(coords)
     if n < 2:
         raise ValueError("pairwise sums need at least two points")
     if workers is None:
         workers = int(os.environ.get("DIAMONDSPHERE_WORKERS", "1"))
-    workers = max(1, workers)
-    if workers == 1 or n < 256:
-        partials = _row_partials(coords, kernel, 0, n - 1)
+    xyz = tuple(np.ascontiguousarray(coords[:, k]) for k in range(3))
+
+    def tile(a):
+        return _tile_partials(xyz, a, riesz_s, log, distance)
+
+    starts = range(0, n - 1, _TILE_ROWS)
+    if workers <= 1 or n < 256:
+        tiles = [tile(a) for a in starts]
     else:
-        bounds = np.linspace(0, n - 1, 4 * workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = [
-                ex.submit(_row_partials, coords, kernel, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-            ]
-            partials = np.concatenate([f.result() for f in futs])
-    return 2.0 * math.fsum(partials)
-
-
-def _check_no_duplicates(d2: np.ndarray) -> None:
-    if d2.size and float(d2.min()) < 1e-24:
-        raise DuplicatePointError("coincident points make this energy singular")
+            tiles = list(ex.map(tile, starts))
+    partials = np.concatenate(tiles, axis=1)
+    return [2.0 * math.fsum(row) for row in partials]
 
 
 def riesz_energy(points, s: float, workers: int | None = None) -> float:
     """Sum over ordered pairs i != j of ||x_i - x_j||^(-s), s > 0."""
-    if s <= 0:
-        raise ValueError("Riesz exponent must be positive")
-    coords = _coords(points)
-
-    def kernel(d2):
-        _check_no_duplicates(d2)
-        return float(np.sum(d2 ** (-s / 2.0)))
-
-    return _pair_sum(coords, kernel, workers)
+    (total,) = _pair_sums(_coords(points), riesz_s=(s,), workers=workers)
+    return total
 
 
 def log_energy(points, workers: int | None = None) -> float:
     """Sum over ordered pairs i != j of log(1/||x_i - x_j||)."""
-    coords = _coords(points)
-
-    def kernel(d2):
-        _check_no_duplicates(d2)
-        return float(-0.5 * np.sum(np.log(d2)))
-
-    return _pair_sum(coords, kernel, workers)
+    (total,) = _pair_sums(_coords(points), log=True, workers=workers)
+    return total
 
 
 def sum_distances(points, workers: int | None = None) -> float:
     """Sum over ordered pairs i != j of ||x_i - x_j||."""
-    coords = _coords(points)
-    return _pair_sum(coords, lambda d2: float(np.sum(np.sqrt(d2))), workers)
+    (total,) = _pair_sums(_coords(points), distance=True, workers=workers)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +522,12 @@ def _best_over_centers(coords: np.ndarray, center_blocks) -> SupDiscrepancy:
     return SupDiscrepancy(best_val, cap, "closed" if best_side > 0 else "open")
 
 
+# Dot products per block of centers in sup_discrepancy_estimate.  The
+# sweep keeps several same-sized int and bool copies of a block, so this
+# sets the estimate's peak memory; results do not depend on it.
+_SUP_BLOCK_DOTS = 2_000_000
+
+
 def _blocked(arrays, block: int):
     for arr in arrays:
         for a in range(0, len(arr), block):
@@ -552,7 +593,7 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
     centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
-    block = max(64, int(2e7 // max(n, 1)))
+    block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
     best = _best_over_centers(coords, _blocked([poles, centers], block))
 
     best_val, best_cap, best_side = best.value, best.witness, best.side
@@ -579,18 +620,19 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
 # L2 cap discrepancy
 
 
+def _stolarsky_l2(distance_sum: float, n: int) -> float:
+    """L2 cap discrepancy from the sum of distances over ordered pairs."""
+    gap = MEAN_CHORD - distance_sum / (n * n)
+    if gap < -1e-12:
+        raise ValueError("mean pairwise distance exceeds the uniform average")
+    return math.sqrt(max(0.0, gap) / STOLARSKY_CONSTANT)
+
+
 def l2_discrepancy_stolarsky(points, workers: int | None = None) -> float:
     """L2 cap discrepancy via the distance-sum identity (see module head)."""
     coords = _coords(points)
     n = len(coords)
-    if n == 1:
-        mean = 0.0
-    else:
-        mean = sum_distances(coords, workers) / (n * n)
-    gap = MEAN_CHORD - mean
-    if gap < -1e-12:
-        raise ValueError("mean pairwise distance exceeds the uniform average")
-    return math.sqrt(max(0.0, gap) / STOLARSKY_CONSTANT)
+    return _stolarsky_l2(0.0 if n == 1 else sum_distances(coords, workers), n)
 
 
 def l2_discrepancy_quadrature(points, n_centers: int = 4096,
@@ -715,10 +757,14 @@ def compute_metrics(points: PointSet,
         if partition is not None:
             rep.mesh_ratio = cov.upper_bound / rep.separation
         if energies:
-            rep.riesz = {str(s): riesz_energy(points, s, workers) for s in riesz_s}
-            rep.log_energy = log_energy(points, workers)
-            rep.sum_distances = sum_distances(points, workers)
-    rep.d_l2_stolarsky = l2_discrepancy_stolarsky(points, workers)
+            *riesz, rep.log_energy, rep.sum_distances = _pair_sums(
+                _coords(points), riesz_s, log=True, distance=True, workers=workers
+            )
+            rep.riesz = {str(s): v for s, v in zip(riesz_s, riesz)}
+    if rep.sum_distances is None:
+        rep.d_l2_stolarsky = l2_discrepancy_stolarsky(points, workers)
+    else:
+        rep.d_l2_stolarsky = _stolarsky_l2(rep.sum_distances, n)
     if l2_quadrature:
         rep.d_l2_quadrature = l2_discrepancy_quadrature(
             points, n_centers=quad_centers, n_t=quad_t
@@ -751,8 +797,7 @@ def compute_metrics(points: PointSet,
         rep.d_equatorial = float(eq.exact)
         rep.d_equatorial_exact = str(eq.exact)
         if model.is_simple:
-            rep.envelope_lower = math.sqrt(model.N - 2) / model.N
-            rep.envelope_upper = (4.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(model.N)
+            rep.envelope_lower, rep.envelope_upper = cap_discrepancy_envelope(model.N)
         if model.M >= 2:
             rep.constants = model_constants(model).to_dict()
     return rep

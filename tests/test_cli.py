@@ -162,6 +162,32 @@ def test_metrics_roundtrip_matches_in_memory(tmp_path, capsys):
     assert j1.read_bytes() == j2.read_bytes()
 
 
+def test_metrics_points_with_nan_exits_2(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    run(["gen", "--simple-M", "1", "-o", str(pts)], capsys)
+    lines = pts.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[3] = "nan"
+    lines[2] = ",".join(fields)
+    pts.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["metrics", "--points", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert "row norms" in err
+
+
+def test_envelope_same_in_metrics_and_discrepancy(capsys):
+    _, out, _ = run(["metrics", "--simple-M", "3", "--sup", "none",
+                     "--no-energies"], capsys)
+    report = json.loads(out)
+    _, out, _ = run(["discrepancy", "--simple-M", "3", "--mode", "exact"], capsys)
+    envelope = json.loads(out)["envelope"]
+    n = 4 * 3 * 3 + 2
+    assert envelope == {"lower": report["envelope_lower"],
+                        "upper": report["envelope_upper"]}
+    assert envelope["lower"] == math.sqrt(n - 2) / n
+    assert envelope["upper"] == (4.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(n)
+
+
 def test_metrics_octahedron_log_energy(capsys):
     code, out, _ = run(["metrics", "--simple-M", "1", "--sup", "none"], capsys)
     assert code == 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_spec, random_unit_points
+from diamondsphere import metrics
 from diamondsphere import (
     MEAN_CHORD,
     PointSet,
@@ -153,6 +154,18 @@ def test_sup_estimate_deterministic_and_stable(simple_suite):
     lo = 2.0 * 4 / model.N - 1e-12
     assert all(v >= lo for v in vals)
     assert max(vals) - min(vals) < 5e-3
+
+
+@pytest.mark.parametrize("budget", [1, 40_000, 300_000, 10**9])
+def test_sup_estimate_independent_of_block_size(budget, monkeypatch):
+    model_pts = generate(validate(simple_model(9, theta_policy="seed:2")))
+    random_pts = PointSet(random_unit_points(np.random.default_rng(6), 257))
+    want = [sup_discrepancy_estimate(p, n_samples=3000, seed=4)
+            for p in (model_pts, random_pts)]
+    monkeypatch.setattr(metrics, "_SUP_BLOCK_DOTS", budget)
+    got = [sup_discrepancy_estimate(p, n_samples=3000, seed=4)
+           for p in (model_pts, random_pts)]
+    assert got == want
 
 
 def test_sup_estimate_witness_is_achieved(simple_suite):

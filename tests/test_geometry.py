@@ -151,6 +151,12 @@ def test_pointset_provenance_and_access():
     assert tagged.has_provenance
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pointset_rejects_non_finite_rows(bad):
+    with pytest.raises(ValueError):
+        PointSet(np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]]))
+
+
 def test_poles_are_unit_antipodes():
     assert NORTH_POLE.dot(SOUTH_POLE) == -1.0
     assert chord_distance(NORTH_POLE, SOUTH_POLE) == 2.0

@@ -1,9 +1,12 @@
 """Calibrate the distance-sum discrepancy constant from scratch.
 
 For each trial point set the ratio (mean-chord deficit) / D_quad^2 is
-estimated with a dense quadrature; the median over trials pins the
-constant baked into the library (8, with the single-point closed form
-D^2 = 1/6 as an exact anchor).  Run this after touching either L2 path.
+estimated with a dense grid of cap centers, each integrated exactly over
+cap heights; the median over trials pins the constant baked into the
+library (8, with the single-point closed form D^2 = 1/6 as an exact
+anchor).  Run this after touching either L2 path:
+
+    PYTHONPATH=src python scripts/calibrate_stolarsky.py [--centers K]
 """
 
 import argparse
@@ -31,13 +34,12 @@ def trial_sets(n_random: int, seed: int):
         yield f"random-20 #{k}", PointSet(v)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--random-sets", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--centers", type=int, default=20_000)
-    ap.add_argument("--heights", type=int, default=512)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     # Exact anchor: one point, no pair term, closed-form integral 1/6.
     anchor = (4.0 / 3.0) / (1.0 / 6.0)
@@ -45,8 +47,7 @@ def main() -> int:
 
     values = []
     for label, pts in trial_sets(args.random_sets, args.seed):
-        c = stolarsky_constant_estimate(pts, n_centers=args.centers,
-                                        n_t=args.heights)
+        c = stolarsky_constant_estimate(pts, n_centers=args.centers)
         values.append(c)
         print(f"{label:>16}: {c:.6f}")
     med = statistics.median(values)

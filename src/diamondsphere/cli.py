@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .ensemble import (
     simple_model,
     validate,
 )
-from .geometry import PointSet
+from .geometry import SPHERE_AREA, TWO_PI, PointSet
 from .metrics import (
     ENVELOPE_UPPER_COEFF,
     cap_discrepancy_envelope,
@@ -62,7 +63,7 @@ def write_points_csv(path: str, points: PointSet) -> None:
     coords = points.coords
     for k in range(len(points)):
         x, y, z = coords[k]
-        phi = math.atan2(y, x) % (2.0 * math.pi)
+        phi = math.atan2(y, x) % TWO_PI
         lines.append(",".join([
             str(k), str(int(points.parallel[k])), str(int(points.index_in_parallel[k])),
             _g17(x), _g17(y), _g17(z), _g17(phi), _g17(z),
@@ -82,6 +83,8 @@ def read_points_csv(path: str) -> PointSet:
     parallel = np.empty(len(rows), dtype=np.int64)
     index_in = np.empty(len(rows), dtype=np.int64)
     for k, row in enumerate(rows):
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"row {k} has {len(row)} fields, want {len(CSV_HEADER)}")
         if int(row[0]) != k:
             raise ValueError(f"row {k} has index {row[0]}")
         parallel[k] = int(row[1])
@@ -118,17 +121,18 @@ def _parse_theta(raw: str):
 
 def _resolve_model(args) -> DiamondModel | None:
     theta = _parse_theta(args.theta)
+    if isinstance(theta, list):
+        theta = tuple(theta)
     if args.simple_M is not None:
-        if isinstance(theta, list):
-            theta = tuple(theta)
         return validate(simple_model(args.simple_M, theta_policy=theta))
     if args.model is not None:
         with open(args.model) as f:
             payload = json.load(f)
+        spec = ModelSpec.from_dict(payload)
         # an explicit --theta wins over whatever the file carries
         if args.theta != "zeros" or "theta_policy" not in payload:
-            payload["theta_policy"] = theta
-        return validate(ModelSpec.from_dict(payload))
+            spec = dataclasses.replace(spec, theta_policy=theta)
+        return validate(spec)
     return None
 
 
@@ -191,7 +195,7 @@ def cmd_verify(args) -> int:
 
     from fractions import Fraction
     target = Fraction(1, n)
-    area_f = 4.0 * math.pi / n
+    area_f = SPHERE_AREA / n
     for rid in range(n):
         region = part.region(rid)
         if region_area_fraction_exact(part, region) != target:
@@ -292,9 +296,7 @@ def cmd_discrepancy(args) -> int:
     elif args.mode == "l2-stolarsky":
         out["value"] = l2_discrepancy_stolarsky(points, workers=args.workers)
     elif args.mode == "l2-quadrature":
-        out["value"] = l2_discrepancy_quadrature(
-            points, n_centers=args.quad_centers, n_t=args.quad_t
-        )
+        out["value"] = l2_discrepancy_quadrature(points, n_centers=args.quad_centers)
     else:
         if args.mode == "exact":
             if n > args.max_points:
@@ -414,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-points", type=int, default=150)
     p.add_argument("--quad-centers", type=int, default=4096)
-    p.add_argument("--quad-t", type=int, default=256)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--check-envelope", action="store_true",
                    help="exit 3 if a simple model leaves its guaranteed band")

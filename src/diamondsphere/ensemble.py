@@ -21,9 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PointSet
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, PointSet
 
 
 class ModelError(ValueError):
@@ -87,6 +85,12 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        if not isinstance(d, dict):
+            raise ModelError("shape_mismatch",
+                             f"model must be an object, got {type(d).__name__}")
+        for key in ("t", "alpha", "beta"):
+            if key in d and not isinstance(d[key], (list, tuple)):
+                raise ModelError("shape_mismatch", f"model field {key} must be a list")
         try:
             policy = d.get("theta_policy", "zeros")
             if isinstance(policy, list):

@@ -1,9 +1,11 @@
 """Quality metrics for sphere point sets.
 
-Separation, covering, mesh ratio, pairwise energies, and three flavors
-of spherical-cap discrepancy: exact polar/equatorial profiles for
-generated ensembles, a certified exact supremum over all caps for small
-sets, and randomized/quadrature estimators for everything else.
+Separation, covering, mesh ratio, pairwise energies, and spherical-cap
+discrepancy: exact polar/equatorial profiles for generated ensembles, a
+certified exact supremum over all caps for small sets, a randomized
+lower estimate of the supremum for everything else, and the L2
+discrepancy by two independent routes (the distance-sum identity, and a
+grid of cap centers with the height integral done exactly).
 
 Determinism contract: every randomized routine takes an explicit seed,
 and pairwise reductions accumulate per-row partial sums combined with
@@ -25,6 +27,7 @@ from .ensemble import DiamondModel, generate, model_constants
 from .geometry import (
     BOUNDARY_TOL,
     NORTH_POLE,
+    TWO_PI,
     DuplicatePointError,
     PointSet,
     SphericalCap,
@@ -33,8 +36,6 @@ from .geometry import (
     spiral_points,
 )
 from .partition import Partition, covering_upper_bound
-
-TWO_PI = 2.0 * math.pi
 
 # Mean chord distance between independent uniform points on the sphere:
 # integral of ||x - y|| reduces to (1/2) * int_{-1}^{1} sqrt(2 - 2u) du = 4/3.
@@ -522,9 +523,10 @@ def _best_over_centers(coords: np.ndarray, center_blocks) -> SupDiscrepancy:
     return SupDiscrepancy(best_val, cap, "closed" if best_side > 0 else "open")
 
 
-# Dot products per block of centers in sup_discrepancy_estimate.  The
-# sweep keeps several same-sized int and bool copies of a block, so this
-# sets the estimate's peak memory; results do not depend on it.
+# Dot products per block of centers in sup_discrepancy_estimate and
+# l2_discrepancy_quadrature.  The sup sweep keeps several same-sized int
+# and bool copies of a block, so this sets the estimate's peak memory;
+# results of either routine do not depend on it.
 _SUP_BLOCK_DOTS = 2_000_000
 
 
@@ -580,40 +582,20 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
 
     Sweeps all break heights for n_samples uniform centers plus the two
     poles (the pole sweeps contain the polar-profile and hemisphere caps,
-    so the estimate never falls below those), and additionally evaluates
-    each sampled center at an independent uniform height.
+    so the estimate never falls below those).  For each center the sweep
+    attains the maximum over every cap height, so no other height with
+    that center can give more.
     """
     coords = _coords(points)
     n = len(coords)
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, TWO_PI, n_samples)
-    t_rand = rng.uniform(-1.0, 1.0, n_samples)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-
     block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
-    best = _best_over_centers(coords, _blocked([poles, centers], block))
-
-    best_val, best_cap, best_side = best.value, best.witness, best.side
-    for lo in range(0, n_samples, block):
-        sub = centers[lo:lo + block]
-        t = t_rand[lo:lo + block]
-        dots = sub @ coords.T
-        closed = np.count_nonzero(dots >= (t[:, None] - BOUNDARY_TOL), axis=1)
-        opened = np.count_nonzero(dots > (t[:, None] + BOUNDARY_TOL), axis=1)
-        area = (1.0 - t) / 2.0
-        dev_closed = closed / n - area
-        dev_open = area - opened / n
-        use_closed = dev_closed >= dev_open
-        dev = np.where(use_closed, dev_closed, dev_open)
-        k = int(np.argmax(dev))
-        if dev[k] > best_val:
-            best_val = float(dev[k])
-            best_cap = SphericalCap(UnitVec.from_array(sub[k]), float(t[k]))
-            best_side = "closed" if use_closed[k] else "open"
-    return SupDiscrepancy(best_val, best_cap, best_side)
+    return _best_over_centers(coords, _blocked([poles, centers], block))
 
 
 # ---------------------------------------------------------------------------
@@ -635,29 +617,32 @@ def l2_discrepancy_stolarsky(points, workers: int | None = None) -> float:
     return _stolarsky_l2(0.0 if n == 1 else sum_distances(coords, workers), n)
 
 
-def l2_discrepancy_quadrature(points, n_centers: int = 4096,
-                              n_t: int = 256) -> float:
-    """L2 cap discrepancy by direct numerical integration.
+def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
+    """L2 cap discrepancy by direct integration over cap centers and heights.
 
-    Centers run over a spiral grid (equal weights), heights over
-    Gauss-Legendre nodes with the dt/2 density.  Converges to the
-    Stolarsky route as the grid refines; used as its independent check.
+    Centers run over a spiral grid (equal weights).  For each center the
+    height integral, with density dt/2, is exact: sort the dots
+    ascending, a_0 <= ... <= a_{N-1}.  Between consecutive dots the
+    deficit #{a >= t}/N - (1 - t)/2 is linear with slope 1/2, and it
+    drops by 1/N at each dot, so the integral of its square telescopes to
+    (1/(4N)) sum_k (a_k + (N - 1 - 2k)/N)^2 + 1/(12 N^2).  The terms are
+    nonnegative and ties only add zero-length pieces.  Only the center
+    grid leaves an error, so this converges to the Stolarsky route as
+    n_centers grows; it is that route's independent check.
     """
     coords = _coords(points)
     n = len(coords)
     centers = spiral_points(n_centers)
-    tnodes, tweights = np.polynomial.legendre.leggauss(n_t)
-    tweights = tweights / 2.0
-    area = (1.0 - tnodes) / 2.0
-    block = max(8, int(2e6 // max(n * n_t, 1)))
-    parts = []
+    offsets = (n - 1 - 2 * np.arange(n)) / n
+    block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
+    rows = []
     for lo in range(0, n_centers, block):
-        dots = centers[lo:lo + block] @ coords.T          # (B, n)
-        counts = (dots[:, :, None] >= (tnodes[None, None, :] - BOUNDARY_TOL)).sum(axis=1)
-        dev2 = (counts / n - area[None, :]) ** 2
-        parts.append(float(np.sum(dev2 @ tweights)))
-    total = math.fsum(parts) / n_centers
-    return math.sqrt(total)
+        dots = centers[lo:lo + block] @ coords.T
+        dots.sort(axis=1)
+        dots += offsets
+        rows.append(np.square(dots, out=dots).sum(axis=1))
+    total = math.fsum(np.concatenate(rows)) / (4 * n * n_centers)
+    return math.sqrt(total + 1.0 / (12 * n * n))
 
 
 def mean_chord_monte_carlo(n_pairs: int = 2_000_000, seed: int = 0) -> float:
@@ -677,7 +662,7 @@ def mean_chord_monte_carlo(n_pairs: int = 2_000_000, seed: int = 0) -> float:
 
 
 def stolarsky_constant_estimate(points, n_centers: int = 20_000,
-                                n_t: int = 512, workers: int | None = None) -> float:
+                                workers: int | None = None) -> float:
     """(MEAN_CHORD - S_N) / D_quad^2 for one point set.
 
     Estimates the invariance constant from scratch; the calibration
@@ -686,7 +671,7 @@ def stolarsky_constant_estimate(points, n_centers: int = 20_000,
     coords = _coords(points)
     n = len(coords)
     mean = 0.0 if n == 1 else sum_distances(coords, workers) / (n * n)
-    d = l2_discrepancy_quadrature(coords, n_centers=n_centers, n_t=n_t)
+    d = l2_discrepancy_quadrature(coords, n_centers=n_centers)
     if d == 0.0:
         raise ValueError("degenerate quadrature value")
     return (MEAN_CHORD - mean) / (d * d)
@@ -742,7 +727,6 @@ def compute_metrics(points: PointSet,
                     sup_max_points: int = 150,
                     l2_quadrature: bool = False,
                     quad_centers: int = 4096,
-                    quad_t: int = 256,
                     workers: int | None = None) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end."""
     n = len(points)
@@ -766,9 +750,7 @@ def compute_metrics(points: PointSet,
     else:
         rep.d_l2_stolarsky = _stolarsky_l2(rep.sum_distances, n)
     if l2_quadrature:
-        rep.d_l2_quadrature = l2_discrepancy_quadrature(
-            points, n_centers=quad_centers, n_t=quad_t
-        )
+        rep.d_l2_quadrature = l2_discrepancy_quadrature(points, n_centers=quad_centers)
 
     if sup_mode == "exact":
         sup = sup_discrepancy_exact(points, max_points=sup_max_points)

@@ -31,8 +31,6 @@ import numpy as np
 from .ensemble import DiamondModel
 from .geometry import TWO_PI, PointSet, UnitVec
 
-SPHERE_AREA = 4.0 * math.pi
-
 
 class VerificationFailure(RuntimeError):
     """A certified partition property failed to hold."""

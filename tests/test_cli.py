@@ -175,6 +175,29 @@ def test_metrics_points_with_nan_exits_2(tmp_path, capsys):
     assert "row norms" in err
 
 
+def test_metrics_points_with_short_row_exits_2(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    run(["gen", "--simple-M", "1", "-o", str(pts)], capsys)
+    lines = pts.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    pts.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["metrics", "--points", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert "row 1 has 7 fields" in err
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"M": 2, "n": 1, "t": 5, "alpha": [0], "beta": [4]},
+], ids=["not-an-object", "t-not-a-list"])
+def test_malformed_model_exits_2(payload, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(["verify", "--model", str(path)], capsys)
+    assert code == 2
+    assert "[shape_mismatch]" in err
+
+
 def test_envelope_same_in_metrics_and_discrepancy(capsys):
     _, out, _ = run(["metrics", "--simple-M", "3", "--sup", "none",
                      "--no-energies"], capsys)

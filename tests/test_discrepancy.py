@@ -1,8 +1,10 @@
 """Cap discrepancy: closed forms, sweep certificates, sampling oracles,
 and the two independent L2 routes."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from conftest import make_random_spec, random_unit_points
 from diamondsphere import metrics
 from diamondsphere import (
+    BOUNDARY_TOL,
     MEAN_CHORD,
     PointSet,
     cap_area,
@@ -21,6 +24,7 @@ from diamondsphere import (
     mean_chord_monte_carlo,
     polar_cap_profile,
     simple_model,
+    spiral_points,
     stolarsky_constant_estimate,
     sup_discrepancy_estimate,
     sup_discrepancy_exact,
@@ -41,6 +45,40 @@ def brute_max_over_random_caps(coords: np.ndarray, n_caps: int,
         dev = np.abs(counts / n - (1.0 - t[lo:lo + 50_000]) / 2.0)
         best = max(best, float(dev.max()))
     return best
+
+
+def gauss_legendre_l2(coords: np.ndarray, n_centers: int, n_t: int) -> float:
+    """Reference L2 route: Gauss-Legendre nodes in the cap height.
+
+    The library integrates the height exactly; this keeps the node-grid
+    kernel it replaced, with closed counting at BOUNDARY_TOL.
+    """
+    n = len(coords)
+    centers = spiral_points(n_centers)
+    tnodes, tweights = np.polynomial.legendre.leggauss(n_t)
+    tweights = tweights / 2.0
+    area = (1.0 - tnodes) / 2.0
+    block = max(8, int(2e6 // max(n * n_t, 1)))
+    parts = []
+    for lo in range(0, n_centers, block):
+        dots = centers[lo:lo + block] @ coords.T
+        counts = (dots[:, :, None] >= (tnodes - BOUNDARY_TOL)).sum(axis=1)
+        dev2 = (counts / n - area) ** 2
+        parts.append(float(np.sum(dev2 @ tweights)))
+    return math.sqrt(math.fsum(parts) / n_centers)
+
+
+def exact_height_integral(dots) -> Fraction:
+    """Integral over t of (#{a >= t}/N - (1 - t)/2)^2 dt/2, in rationals."""
+    n = len(dots)
+    cuts = [Fraction(-1)] + sorted(Fraction(float(a)) for a in dots) + [Fraction(1)]
+    total = Fraction(0)
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        # on (lo, hi] the count is n - k: the deficit is c + t/2
+        c = Fraction(n - k, n) - Fraction(1, 2)
+        total += (c * c * (hi - lo) + c * (hi * hi - lo * lo) / 2
+                  + (hi ** 3 - lo ** 3) / 12)
+    return total / 2
 
 
 def test_polar_profile_closed_form_simple():
@@ -212,7 +250,7 @@ def test_l2_decreases_along_family(simple_suite):
 
 
 def test_stolarsky_constant_recovered(octahedron_points):
-    c = stolarsky_constant_estimate(octahedron_points, n_centers=4000, n_t=256)
+    c = stolarsky_constant_estimate(octahedron_points, n_centers=4000)
     assert math.isclose(c, 8.0, rel_tol=2e-2)
 
 
@@ -236,14 +274,80 @@ def test_l2_never_exceeds_sup(octahedron_points):
     # An averaged cap deviation cannot beat the worst single cap.
     for pts in (octahedron_points,
                 PointSet(random_unit_points(np.random.default_rng(9), 12))):
-        quad = l2_discrepancy_quadrature(pts, n_centers=2048, n_t=128)
+        quad = l2_discrepancy_quadrature(pts, n_centers=2048)
         sup = sup_discrepancy_exact(pts).value
         assert quad <= sup + 1e-9
 
 
 def test_l2_quadrature_grid_refinement(octahedron_points):
     coarse = l2_discrepancy_quadrature(octahedron_points,
-                                       n_centers=1024, n_t=64)
+                                       n_centers=1024)
     fine = l2_discrepancy_quadrature(octahedron_points,
-                                     n_centers=4096, n_t=256)
+                                     n_centers=4096)
     assert abs(coarse - fine) / fine < 5e-3
+
+
+def test_sup_estimate_dominates_random_heights():
+    # Each sampled center, at an independent uniform height, never beats
+    # its own break-height sweep, and so never beats the estimate.
+    rng = np.random.default_rng(17)
+    sets = [generate(validate(simple_model(M, theta_policy=policy)))
+            for M in range(1, 12) for policy in ("zeros", f"seed:{M}")]
+    sets += [PointSet(random_unit_points(rng, n)) for n in (5, 20, 64, 201)]
+    for k, pts in enumerate(sets):
+        est = sup_discrepancy_estimate(pts, n_samples=2000, seed=k)
+        draws = np.random.default_rng(k)
+        z = draws.uniform(-1.0, 1.0, 2000)
+        phi = draws.uniform(0.0, 2.0 * math.pi, 2000)
+        t = draws.uniform(-1.0, 1.0, 2000)[:, None]
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+        dots = centers @ pts.coords.T
+        n = len(pts)
+        closed = np.count_nonzero(dots >= t - BOUNDARY_TOL, axis=1) / n
+        opened = np.count_nonzero(dots > t + BOUNDARY_TOL, axis=1) / n
+        area = (1.0 - t[:, 0]) / 2.0
+        dev = np.maximum(closed - area, area - opened)
+        swept, _, _ = metrics._sweep_rows(dots)
+        assert np.all(dev <= swept + BOUNDARY_TOL)
+        assert float(dev.max()) <= est.value + BOUNDARY_TOL
+
+
+def test_l2_quadrature_matches_rational_integral():
+    rng = np.random.default_rng(31)
+    coords = random_unit_points(rng, 13)
+    coords = np.vstack([coords, coords[[2, 7]]])  # duplicated rows give ties
+    dots = spiral_points(64) @ coords.T
+    assert np.all(np.abs(dots) <= 1.0)
+    want = sum(exact_height_integral(row) for row in dots) / 64
+    got = l2_discrepancy_quadrature(PointSet(coords), n_centers=64)
+    assert math.isclose(got, math.sqrt(want), rel_tol=1e-12)
+
+
+def test_l2_quadrature_matches_gauss_legendre_reference():
+    rng = np.random.default_rng(12)
+    sets = [generate(validate(simple_model(M))).coords for M in range(1, 6)]
+    sets += [random_unit_points(rng, 20) for _ in range(3)]
+    for coords in sets:
+        want = gauss_legendre_l2(coords, n_centers=4096, n_t=256)
+        got = l2_discrepancy_quadrature(PointSet(coords), n_centers=4096)
+        assert math.isclose(got, want, rel_tol=1e-3)
+
+
+@pytest.mark.parametrize("budget", [1, 40_000, 300_000, 10**9])
+def test_l2_quadrature_independent_of_block_size(budget, monkeypatch):
+    model_pts = generate(validate(simple_model(9)))
+    random_pts = PointSet(random_unit_points(np.random.default_rng(6), 257))
+    want = [l2_discrepancy_quadrature(p) for p in (model_pts, random_pts)]
+    monkeypatch.setattr(metrics, "_SUP_BLOCK_DOTS", budget)
+    got = [l2_discrepancy_quadrature(p) for p in (model_pts, random_pts)]
+    assert got == want
+
+
+def test_calibrate_stolarsky_script_confirms_constant(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_stolarsky.py"
+    spec = importlib.util.spec_from_file_location("calibrate_stolarsky", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([]) == 0
+    assert "pinned constant 8 confirmed" in capsys.readouterr().out

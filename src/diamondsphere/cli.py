@@ -75,7 +75,9 @@ def write_points_csv(path: str, points: PointSet) -> None:
 def read_points_csv(path: str) -> PointSet:
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty: no CSV header")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")
         rows = list(reader)

@@ -95,6 +95,9 @@ class ModelSpec:
             policy = d.get("theta_policy", "zeros")
             if isinstance(policy, list):
                 policy = tuple(float(v) for v in policy)
+            elif not isinstance(policy, str):
+                raise ModelError("theta_invalid",
+                                 f"theta_policy must be a string or a list, got {policy!r}")
             return cls(
                 M=d["M"],
                 n=d["n"],

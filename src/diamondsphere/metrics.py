@@ -69,116 +69,96 @@ def _coords(points) -> np.ndarray:
 # separation
 
 
-def separation(points, method: str = "auto") -> float:
-    """Minimal pairwise chord distance.
+# Candidate pairs per block of the separation sweep.  It bounds the
+# sweep's temporaries however the points crowd into cubes.
+_SEPARATION_BLOCK_PAIRS = 4_000_000
 
-    method "bruteforce" scans all pairs; "buckets" prunes using the
-    parallel structure of generated ensembles (requires provenance) and
-    agrees with the brute force exactly, since both evaluate the same
-    winning pair with the same arithmetic.  "auto" picks buckets when
-    provenance is available.  A zero result flags duplicate points.
+# The cube itself and the 13 adjacent offsets that follow it
+# lexicographically: together they reach every pair of adjacent cubes once.
+_FORWARD_CUBES = [o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)]
+
+
+def separation(points) -> float:
+    """Minimal pairwise chord distance; a zero result flags duplicate points.
+
+    Exact on any point set, with no use of provenance tags.  The points
+    are hashed into cubes of side h, starting at h = 4/sqrt(N), and every
+    pair in the same or adjacent cubes is measured.  A pair closer than h
+    always lies in adjacent cubes, so a minimum below h, with a relative
+    margin of 1e-9 for the rounding of the cube index, is the minimum
+    over all pairs; otherwise h doubles and the sweep repeats.  4/sqrt(N)
+    lies above the best packing separation of N points on the unit
+    sphere (about 3.8/sqrt(N) for large N), so one sweep, of about 6.5 N
+    pairs for spread-out points, is the rule.  Squared distances use the
+    arithmetic of a plain all-pairs scan, so the result is the same float.
     """
     coords = _coords(points)
     if len(coords) < 2:
         raise ValueError("separation needs at least two points")
-    if method == "auto":
-        use_buckets = isinstance(points, PointSet) and points.has_provenance
-    elif method in ("bruteforce", "buckets"):
-        use_buckets = method == "buckets"
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if use_buckets:
-        if not (isinstance(points, PointSet) and points.has_provenance):
-            raise ValueError("bucketed separation needs provenance tags")
-        return math.sqrt(_separation_buckets(points))
-    return math.sqrt(_separation_bruteforce(coords))
+    if not np.isfinite(coords).all():
+        raise ValueError("separation needs finite coordinates")
+    h = 4.0 / math.sqrt(len(coords))
+    while True:
+        best = _adjacent_cubes_min_d2(coords, h)
+        if best < (h * (1.0 - 1e-9)) ** 2:
+            return math.sqrt(best)
+        h *= 2.0
 
 
-def _separation_bruteforce(coords: np.ndarray) -> float:
-    n = len(coords)
-    block = max(8, int(4e6 // max(n, 1)))
+def _adjacent_cubes_min_d2(coords: np.ndarray, h: float) -> float:
+    """Smallest squared distance over the pairs in the same or adjacent cubes of side h."""
+    cube = np.floor(coords / h).astype(np.int64)
+    # An empty layer of cubes on every side keeps a neighbour's key from
+    # wrapping into another row of the grid.
+    cube -= cube.min(axis=0) - 1
+    dims = cube.max(axis=0) + 2
+    key = (cube[:, 0] * dims[1] + cube[:, 1]) * dims[2] + cube[:, 2]
+    order = np.argsort(key)
+    xyz = coords[order]
+    keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    cube_of = np.repeat(np.arange(len(keys)), count)
+
+    # Point i pairs with a range of later points per offset: the rest of
+    # its own cube, or the whole of a forward cube, which sorts after it.
     best = np.inf
-    for a in range(0, n, block):
-        rows = coords[a:a + block]
-        d2 = np.sum((rows[:, None, :] - coords[None, :, :]) ** 2, axis=2)
-        d2[np.arange(len(rows)), np.arange(a, a + len(rows))] = np.inf
-        best = min(best, float(d2.min()))
+    for dx, dy, dz in _FORWARD_CUBES:
+        if (dx, dy, dz) == (0, 0, 0):
+            lo = np.arange(1, len(xyz) + 1)
+            hi = (start + count)[cube_of]
+        else:
+            target = keys + (dx * dims[1] + dy) * dims[2] + dz
+            b = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+            hit = keys[b] == target
+            lo = np.where(hit, start[b], 0)[cube_of]
+            hi = np.where(hit, start[b] + count[b], 0)[cube_of]
+        best = min(best, _ranges_min_d2(xyz, lo, hi))
     return best
 
 
-def _separation_buckets(points: PointSet) -> float:
-    coords = points.coords
-    tags = points.parallel
-    groups = []
-    for tag in np.unique(tags):
-        idx = np.nonzero(tags == tag)[0]
-        sub = coords[idx]
-        phi = np.arctan2(sub[:, 1], sub[:, 0]) % TWO_PI
-        order = np.argsort(phi, kind="stable")
-        z = sub[:, 2]
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        groups.append({
-            "idx": idx[order],
-            "coords": sub[order],
-            "phi": phi[order],
-            "z_lo": float(z.min()), "z_hi": float(z.max()),
-            "s_min": float(s.min()),
-        })
+def _ranges_min_d2(xyz: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Smallest squared distance from each point i to points lo[i] .. hi[i] - 1.
 
+    Pairs are formed in blocks of whole rows, at most
+    _SEPARATION_BLOCK_PAIRS pairs unless one row alone has more, so
+    memory stays bounded however the ranges are spread.  d2 is
+    np.sum((a - b) ** 2, axis=1), done in place.
+    """
+    length = hi - lo
+    end = np.cumsum(length)
     best = np.inf
-
-    # Within a ring the nearest neighbor is adjacent in longitude.
-    for g in groups:
-        pts = g["coords"]
-        m = len(pts)
-        if m < 2:
-            continue
-        d2 = np.sum((pts - np.roll(pts, -1, axis=0)) ** 2, axis=1)
-        best = min(best, float(d2.min()))
-
-    # Cross-ring pairs, nearest height gaps first so pruning bites early.
-    pairs = []
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            ga, gb = groups[a], groups[b]
-            gap = max(0.0, ga["z_lo"] - gb["z_hi"], gb["z_lo"] - ga["z_hi"])
-            pairs.append((gap, a, b))
-    pairs.sort()
-
-    for gap, a, b in pairs:
-        if gap * gap >= best:
-            break
-        ga, gb = groups[a], groups[b]
-        na, nb = len(ga["coords"]), len(gb["coords"])
-        if na * nb <= 200_000:
-            d2 = np.sum(
-                (ga["coords"][:, None, :] - gb["coords"][None, :, :]) ** 2, axis=2
-            )
-            best = min(best, float(d2.min()))
-            continue
-        # Large rings: only longitude windows where the horizontal term
-        # 2 s_a s_b (1 - cos dphi) could still beat the current best.
-        ss = 2.0 * ga["s_min"] * gb["s_min"]
-        if ss <= 0.0:
-            # a pole ring: distance is independent of longitude
-            d2 = np.sum((ga["coords"][:1] - gb["coords"]) ** 2, axis=1)
-            best = min(best, float(d2.min()))
-            continue
-        cos_min = 1.0 - best / ss
-        delta = math.pi if cos_min < -1.0 else math.acos(min(1.0, cos_min))
-        small, large = (ga, gb) if na <= nb else (gb, ga)
-        lphi = large["phi"]
-        ext = np.concatenate([lphi, lphi + TWO_PI])
-        nl = len(lphi)
-        for q in range(len(small["coords"])):
-            base = (small["phi"][q] - delta) % TWO_PI
-            lo = np.searchsorted(ext, base)
-            hi = np.searchsorted(ext, base + 2.0 * delta)
-            if hi <= lo:
-                continue
-            cand = np.arange(lo, hi) % nl
-            d2 = np.sum((large["coords"][cand] - small["coords"][q]) ** 2, axis=1)
-            best = min(best, float(d2.min()))
+    row = 0
+    while row < len(xyz):
+        base = end[row] - length[row]
+        stop = max(row + 1, int(np.searchsorted(end, base + _SEPARATION_BLOCK_PAIRS, "right")))
+        n_pairs = int(end[stop - 1] - base)
+        if n_pairs:
+            run = length[row:stop]
+            i = np.repeat(np.arange(row, stop), run)
+            j = np.arange(n_pairs) + np.repeat(lo[row:stop] - (end[row:stop] - run - base), run)
+            d = xyz[i]
+            d -= xyz[j]
+            best = min(best, float(np.square(d, out=d).sum(axis=1).min()))
+        row = stop
     return best
 
 
@@ -724,9 +704,7 @@ def compute_metrics(points: PointSet,
                     sup_mode: str | None = "estimate",
                     sup_samples: int = 10_000,
                     sup_seed: int = 0,
-                    sup_max_points: int = 150,
                     l2_quadrature: bool = False,
-                    quad_centers: int = 4096,
                     workers: int | None = None) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end."""
     n = len(points)
@@ -750,10 +728,10 @@ def compute_metrics(points: PointSet,
     else:
         rep.d_l2_stolarsky = _stolarsky_l2(rep.sum_distances, n)
     if l2_quadrature:
-        rep.d_l2_quadrature = l2_discrepancy_quadrature(points, n_centers=quad_centers)
+        rep.d_l2_quadrature = l2_discrepancy_quadrature(points)
 
     if sup_mode == "exact":
-        sup = sup_discrepancy_exact(points, max_points=sup_max_points)
+        sup = sup_discrepancy_exact(points)
     elif sup_mode == "estimate":
         sup = sup_discrepancy_estimate(points, n_samples=sup_samples, seed=sup_seed)
     elif sup_mode is None:

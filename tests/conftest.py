@@ -1,5 +1,7 @@
 """Shared fixtures and model generators for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,23 @@ def make_random_spec(rng: np.random.Generator, m_lo: int = 2, m_hi: int = 30,
 def random_unit_points(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal((n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def brute_force_separation(coords: np.ndarray) -> float:
+    """Minimal chord distance over all pairs, in blocks of about 4e6 pairs.
+
+    The reference for the cube-grid sweep in metrics.separation: the same
+    squared-distance arithmetic, so the two must agree exactly.
+    """
+    n = len(coords)
+    block = max(8, int(4e6 // max(n, 1)))
+    best = np.inf
+    for a in range(0, n, block):
+        rows = coords[a:a + block]
+        d2 = np.sum((rows[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+        d2[np.arange(len(rows)), np.arange(a, a + len(rows))] = np.inf
+        best = min(best, float(d2.min()))
+    return math.sqrt(best)
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamondsphere
 from diamondsphere import generate, simple_model, validate
 from diamondsphere.cli import CSV_HEADER, main, read_points_csv
 
@@ -198,6 +201,27 @@ def test_malformed_model_exits_2(payload, tmp_path, capsys):
     assert "[shape_mismatch]" in err
 
 
+def test_non_string_theta_policy_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"M": 2, "n": 1, "t": [0, 2], "alpha": [0],
+                                "beta": [4], "theta_policy": 5}))
+    code, _, err = run(["verify", "--model", str(path)], capsys)
+    assert code == 2
+    assert "[theta_invalid]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics"],
+    ["verify", "--simple-M", "2"],
+], ids=["metrics", "verify"])
+def test_empty_points_csv_exits_2(argv, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code, out, err = run(argv + ["--points", str(empty)], capsys)
+    assert code == 2 and "all checks passed" not in out
+    assert "no CSV header" in err
+
+
 def test_envelope_same_in_metrics_and_discrepancy(capsys):
     _, out, _ = run(["metrics", "--simple-M", "3", "--sup", "none",
                      "--no-energies"], capsys)
@@ -272,7 +296,11 @@ def test_theta_list_flag(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # The child must import the package under test, wherever it was found.
+    src = str(Path(diamondsphere.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "diamondsphere.cli",
                            "gen", "--simple-M", "1", "-o", "/dev/null"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_spec, random_unit_points
+from conftest import brute_force_separation, make_random_spec, random_unit_points
 from diamondsphere import (
     DuplicatePointError,
     PointSet,
@@ -34,8 +34,7 @@ def rotation_matrix(rng: np.random.Generator) -> np.ndarray:
 
 def test_separation_octahedron_exact(octahedron_points):
     assert abs(separation(octahedron_points) - math.sqrt(2.0)) < 1e-15
-    assert separation(octahedron_points, method="bruteforce") == \
-        separation(octahedron_points, method="buckets")
+    assert separation(octahedron_points) == brute_force_separation(octahedron_points.coords)
 
 
 def test_separation_buckets_equals_bruteforce():
@@ -43,12 +42,10 @@ def test_separation_buckets_equals_bruteforce():
     for k in range(8):
         spec = make_random_spec(rng, m_hi=14, theta_policy=f"seed:{k}")
         pts = generate(validate(spec))
-        assert separation(pts, method="buckets") == \
-            separation(pts, method="bruteforce")
+        assert separation(pts) == brute_force_separation(pts.coords)
     for M in (1, 2, 5, 9):
         pts = generate(validate(simple_model(M)))
-        assert separation(pts, method="buckets") == \
-            separation(pts, method="bruteforce")
+        assert separation(pts) == brute_force_separation(pts.coords)
 
 
 def test_separation_guards():
@@ -56,10 +53,7 @@ def test_separation_guards():
     with pytest.raises(ValueError):
         separation(lone)
     bare = random_unit_points(np.random.default_rng(1), 20)
-    with pytest.raises(ValueError):
-        separation(PointSet(bare), method="buckets")
-    with pytest.raises(ValueError):
-        separation(PointSet(bare), method="voronoi")
+    assert separation(PointSet(bare)) == brute_force_separation(bare)
 
 
 def test_octahedron_energy_closed_forms(octahedron_points):

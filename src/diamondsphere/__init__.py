@@ -62,6 +62,7 @@ from .partition import (
     SideLengths,
     VerificationFailure,
     build_partition,
+    certify,
     covering_upper_bound,
     partition_records,
     polar_cap_radius,

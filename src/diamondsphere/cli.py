@@ -26,7 +26,7 @@ from .ensemble import (
     simple_model,
     validate,
 )
-from .geometry import SPHERE_AREA, TWO_PI, PointSet
+from .geometry import TWO_PI, PointSet
 from .metrics import (
     ENVELOPE_UPPER_COEFF,
     cap_discrepancy_envelope,
@@ -41,13 +41,10 @@ from .metrics import (
 from .partition import (
     VerificationFailure,
     build_partition,
+    certify,
     partition_records,
     polar_cap_radius,
     covering_upper_bound,
-    region_area,
-    region_area_fraction_exact,
-    side_lengths,
-    verify_matching,
 )
 from . import plotting
 
@@ -192,57 +189,15 @@ def cmd_partition(args) -> int:
 def cmd_verify(args) -> int:
     model = _resolve_model(args)
     points = generate(model)
-    part = build_partition(model)
-    n = model.N
-
-    from fractions import Fraction
-    target = Fraction(1, n)
-    area_f = SPHERE_AREA / n
-    for rid in range(n):
-        region = part.region(rid)
-        if region_area_fraction_exact(part, region) != target:
-            raise VerificationFailure(f"region {rid} area fraction is not 1/N")
-        if abs(region_area(region) - area_f) > 1e-12 * area_f:
-            raise VerificationFailure(f"region {rid} float area off 4*pi/N")
-    print(f"ok: all {n} regions have area 4*pi/N (exact + float)")
-
-    report = verify_matching(part, points)
-    if not report.ok:
-        for line in report.failures[:10]:
-            print(f"FAIL: {line}", file=sys.stderr)
-        raise VerificationFailure("matching verification failed")
+    file_points = read_points_csv(args.points) if args.points else None
+    label = certify(build_partition(model), points)
+    if file_points is not None and not np.array_equal(file_points.coords, points.coords):
+        raise VerificationFailure(f"{args.points} does not match the model ensemble")
+    print(f"ok: all {model.N} regions have area 4*pi/N (exact + float)")
     print("ok: height interleaving certificate")
     print("ok: region-point matching is the designed bijection")
-
-    # Shape control on the canonical horizontal side (the arc at the
-    # collar's defining height): the tight band for the one-piece model,
-    # the instance constants d1/d2 otherwise.
-    sq = math.sqrt(n)
-    if model.is_simple:
-        lo_bound, hi_bound = math.pi / math.sqrt(2.0), math.pi * math.sqrt(2.0)
-        label = "(pi/sqrt(2), pi*sqrt(2))"
-    elif model.M >= 2:
-        cst = model_constants(model)
-        lo_bound, hi_bound = cst.d1, cst.d2
-        label = "[d1, d2]"
-    else:
-        lo_bound, hi_bound = 0.0, 2.0 * math.pi * sq
-        label = "(0, 2*pi*sqrt(N))"
-    strict = model.is_simple
-    for j in range(1, model.M + 1):
-        side = side_lengths(part, j).horizontal_lo * sq
-        bad = not (lo_bound < side < hi_bound) if strict else \
-            not (lo_bound - 1e-12 <= side <= hi_bound + 1e-12)
-        if bad:
-            raise VerificationFailure(
-                f"collar {j}: sqrt(N) x horizontal side {side:.6f} outside {label}"
-            )
     print(f"ok: sqrt(N) x canonical horizontal sides within {label}")
-
-    if args.points:
-        file_points = read_points_csv(args.points)
-        if len(file_points) != n or not np.array_equal(file_points.coords, points.coords):
-            raise VerificationFailure(f"{args.points} does not match the model ensemble")
+    if file_points is not None:
         print(f"ok: {args.points} matches the regenerated ensemble bit for bit")
     print("all checks passed")
     return 0

@@ -93,11 +93,12 @@ class ModelSpec:
                 raise ModelError("shape_mismatch", f"model field {key} must be a list")
         try:
             policy = d.get("theta_policy", "zeros")
-            if isinstance(policy, list):
+            if isinstance(policy, list) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in policy):
                 policy = tuple(float(v) for v in policy)
             elif not isinstance(policy, str):
-                raise ModelError("theta_invalid",
-                                 f"theta_policy must be a string or a list, got {policy!r}")
+                raise ModelError("theta_invalid", "theta_policy must be a string or a "
+                                 f"list of numbers, got {policy!r}")
             return cls(
                 M=d["M"],
                 n=d["n"],

@@ -7,6 +7,7 @@ h_{j+1} = h_j - 2 r_j / N, equivalently h_j = 1 - 2 N_j / N, so every
 region has area exactly 4*pi/N and parallel j is strictly interior to
 its collar: h_{j+1} < z_j < h_j.  All of that is certified in rational
 arithmetic; floats only enter when locating arbitrary points.
+``certify`` runs every check that the ``verify`` command reports.
 
 Region ownership conventions (fixed for the whole package):
 
@@ -28,8 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensemble import DiamondModel
-from .geometry import TWO_PI, PointSet, UnitVec
+from .ensemble import DiamondModel, model_constants
+from .geometry import SPHERE_AREA, TWO_PI, PointSet, UnitVec
 
 
 class VerificationFailure(RuntimeError):
@@ -95,14 +96,14 @@ class Partition:
         self.h = np.array([float(v) for v in h])
 
         # Collars in region-id order: north cap (region 0), one ring per
-        # parallel top to bottom, south cap (region N - 1).  The mirror
-        # parallel 2M - j reuses collar heights of j, negated, and brings
-        # its own rotation offset.
+        # parallel top to bottom, south cap (region N - 1).  Collar M spans
+        # the equator; the mirror parallel 2M - j reuses collar heights of
+        # j, negated, and brings its own rotation offset.
         self._collars: list[dict] = []
         rid = 1
         for jp in range(1, model.p + 1):
             j = min(jp, 2 * M - jp)
-            upper, lower = self._collar_heights(j)
+            upper, lower = h[j - 1], (h[j] if j < M else -h[M - 1])
             if jp > M:
                 upper, lower = -lower, -upper
             self._collars.append({
@@ -122,9 +123,7 @@ class Partition:
         # Per-parallel gather tables so locate_many is O(len(coords)).
         self._r_by_jp = np.array([c["r"] for c in self._collars], dtype=np.int64)
         self._theta_by_jp = np.array([c["theta"] for c in self._collars])
-        self._first_region_by_jp = np.array(
-            [c["first_region"] for c in self._collars], dtype=np.int64
-        )
+        self._first_region_by_jp = np.array(self._starts, dtype=np.int64)
 
         # Height boundaries bottom-up for locate():
         # -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
@@ -135,23 +134,15 @@ class Partition:
         self._asc_bounds = np.array(asc)
         assert np.all(np.diff(self._asc_bounds) > 0)
 
-    def _collar_heights(self, j: int) -> tuple[Fraction, Fraction]:
-        """(upper, lower) exact heights of northern collar j; j = M spans the equator."""
-        M = self.model.M
-        if j < M:
-            return self.h_exact[j - 1], self.h_exact[j]
-        return self.h_exact[M - 1], -self.h_exact[M - 1]
-
     # -- region materialization -------------------------------------------
 
     def region(self, region_id: int) -> Region:
         N = self.model.N
+        h1 = self.h_exact[0]
         if region_id == 0:
-            h1 = self.h_exact[0]
             return Region(0, "cap_north", 0, 0, None, None,
                           float(h1), 1.0, h1, Fraction(1), 0)
         if region_id == N - 1:
-            h1 = self.h_exact[0]
             return Region(N - 1, "cap_south", 0, 0, None, None,
                           -1.0, float(-h1), Fraction(-1), -h1, N - 1)
         if not 0 < region_id < N - 1:
@@ -159,7 +150,7 @@ class Partition:
         col = self._collars[bisect_right(self._starts, region_id) - 1]
         i = region_id - col["first_region"]
         r = col["r"]
-        phi_lo = (TWO_PI * i / r + math.pi / r + col["theta"]) % TWO_PI
+        phi_lo = _phi_lo(col, i)
         return Region(
             region_id, "rect", col["jp"], i, phi_lo, phi_lo + TWO_PI / r,
             float(col["h_lo"]), float(col["h_hi"]), col["h_lo"], col["h_hi"],
@@ -230,6 +221,12 @@ class Partition:
         return out
 
 
+def _phi_lo(col: dict, i):
+    """Lower longitude of cell i (an int or an int array) of a collar's ring."""
+    r = col["r"]
+    return (TWO_PI * i / r + math.pi / r + col["theta"]) % TWO_PI
+
+
 def build_partition(model: DiamondModel) -> Partition:
     return Partition(model)
 
@@ -288,21 +285,12 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
     coordinates must reproduce the exact matching.
     """
     model = partition.model
-    M = model.M
-    h = partition.h_exact
     failures: list[str] = []
 
-    for j in range(1, model.p + 1):
-        zj = model.height_z_exact(j)
-        if j < M:
-            lower, upper = h[j], h[j - 1]
-        elif j == M:
-            lower, upper = -h[M - 1], h[M - 1]
-        else:
-            jm = 2 * M - j  # 1 <= jm <= M - 1: mirror of a northern collar
-            lower, upper = -h[jm - 1], -h[jm]
-        if not (lower < zj < upper):
-            failures.append(f"parallel {j}: z = {zj} outside ({lower}, {upper})")
+    for c in partition._collars:
+        zj = model.height_z_exact(c["jp"])
+        if not (c["h_lo"] < zj < c["h_hi"]):
+            failures.append(f"parallel {c['jp']}: z = {zj} outside ({c['h_lo']}, {c['h_hi']})")
     interleaving_ok = not failures
 
     if not points.has_provenance or len(points) != model.N:
@@ -337,13 +325,11 @@ def side_lengths(partition: Partition, j: int) -> SideLengths:
     shorter of the two horizontal sides (for j = M the two coincide);
     sqrt(N) times this quantity is what the shape bounds control.
     """
-    model = partition.model
-    M = model.M
+    M = partition.model.M
     if not 1 <= j <= M:
         raise IndexError(f"collar index {j} outside 1..{M}")
-    hi_ex, lo_ex = partition._collar_heights(j)
-    h_hi, h_lo = float(hi_ex), float(lo_ex)
-    r = model.r[j - 1]
+    col = partition._collars[j - 1]
+    h_hi, h_lo, r = float(col["h_hi"]), float(col["h_lo"]), col["r"]
 
     def arc(h: float) -> float:
         return TWO_PI * math.sqrt(max(0.0, 1.0 - h * h)) / r
@@ -362,6 +348,61 @@ def side_lengths(partition: Partition, j: int) -> SideLengths:
         for a in range(4) for b in range(a + 1, 4)
     )
     return SideLengths(min(top, bottom), max(top, bottom), vertical, diameter)
+
+
+def certify(partition: Partition, points: PointSet) -> str:
+    """Run verify's checks in order and return the label of the side band.
+
+    Exact areas are checked once per cap and per ring, whose cells share
+    exact heights and r, and float areas per cell.  Raises
+    VerificationFailure at the first failure.
+    """
+    model = partition.model
+    n = model.N
+    area_f = SPHERE_AREA / n
+    for rid in (0, *partition._starts, n - 1):
+        region = partition.region(rid)
+        if region_area_fraction_exact(partition, region) != Fraction(1, n):
+            raise VerificationFailure(f"region {rid} area fraction is not 1/N")
+        if region.kind == "rect":
+            col = partition._collars[region.j - 1]
+            phi_lo = _phi_lo(col, np.arange(col["r"]))
+            areas = (phi_lo + TWO_PI / col["r"] - phi_lo) * float(col["h_hi"] - col["h_lo"])
+        else:
+            areas = np.array([region_area(region)])
+        off = np.flatnonzero(np.abs(areas - area_f) > 1e-12 * area_f)
+        if off.size:
+            raise VerificationFailure(f"region {rid + int(off[0])} float area off 4*pi/N")
+
+    report = verify_matching(partition, points)
+    if not report.ok:
+        raise VerificationFailure("matching verification failed: "
+                                  + "; ".join(report.failures[:10]))
+
+    # Shape control on the canonical horizontal side (the arc at the
+    # collar's defining height): the tight band for the one-piece model,
+    # the instance constants d1/d2 otherwise.
+    sq = math.sqrt(n)
+    if model.is_simple:
+        lo_bound, hi_bound = math.pi / math.sqrt(2.0), math.pi * math.sqrt(2.0)
+        label = "(pi/sqrt(2), pi*sqrt(2))"
+    elif model.M >= 2:
+        cst = model_constants(model)
+        lo_bound, hi_bound = cst.d1, cst.d2
+        label = "[d1, d2]"
+    else:
+        lo_bound, hi_bound = 0.0, 2.0 * math.pi * sq
+        label = "(0, 2*pi*sqrt(N))"
+    strict = model.is_simple
+    for j in range(1, model.M + 1):
+        side = side_lengths(partition, j).horizontal_lo * sq
+        bad = not (lo_bound < side < hi_bound) if strict else \
+            not (lo_bound - 1e-12 <= side <= hi_bound + 1e-12)
+        if bad:
+            raise VerificationFailure(
+                f"collar {j}: sqrt(N) x horizontal side {side:.6f} outside {label}"
+            )
+    return label
 
 
 def _collar_far_radius(h_hi: float, h_lo: float, z_point: float, r: int) -> float:

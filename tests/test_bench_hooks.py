@@ -1,0 +1,44 @@
+"""Every name the benchmark's tracer and layer ladder reach must resolve.
+
+perfbench/tracer.py wraps module functions and methods by name, and
+perfbench/ladder.py calls package attributes as ds.<name>; a rename in
+the library would otherwise surface only in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import diamondsphere
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_resolve():
+    tracer = _load("tracer")
+    wrapped = set()
+    for mod_name, funcs in tracer.MODULE_FUNCTIONS.items():
+        module = importlib.import_module(f"diamondsphere.{mod_name}")
+        for func in funcs:
+            assert callable(getattr(module, func, None)), f"{mod_name}.{func}"
+            wrapped.add(f"{mod_name}.{func}")
+    for mod_name, cls_name, meth in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"diamondsphere.{mod_name}"), cls_name)
+        assert callable(cls.__dict__.get(meth)), f"{mod_name}.{cls_name}.{meth}"
+    assert set(tracer.COUNTERS) <= wrapped
+    assert set(tracer.ALLOC_FUNCTIONS) <= wrapped
+
+
+def test_ladder_names_resolve():
+    names = set(re.findall(r"\bds\.(\w+)", (PERFBENCH / "ladder.py").read_text()))
+    assert names
+    missing = sorted(n for n in names if not callable(getattr(diamondsphere, n, None)))
+    assert not missing

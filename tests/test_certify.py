@@ -1,0 +1,170 @@
+"""partition.certify against the per-region verification loop it replaced."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import make_random_spec
+from diamondsphere import (
+    PointSet,
+    SideLengths,
+    VerificationFailure,
+    build_partition,
+    certify,
+    generate,
+    model_constants,
+    region_area,
+    region_area_fraction_exact,
+    simple_model,
+    validate,
+    verify_matching,
+)
+from diamondsphere import partition as partition_mod
+from diamondsphere.geometry import SPHERE_AREA, TWO_PI
+
+
+def reference_verify(part, points) -> str:
+    """The verify checks with one exact and one float area check per region.
+
+    side_lengths is looked up on the module at call time, so a test that
+    patches it affects this reference and certify alike.
+    """
+    model = part.model
+    n = model.N
+    target = Fraction(1, n)
+    area_f = SPHERE_AREA / n
+    for rid in range(n):
+        region = part.region(rid)
+        if region_area_fraction_exact(part, region) != target:
+            raise VerificationFailure(f"region {rid} area fraction is not 1/N")
+        if abs(region_area(region) - area_f) > 1e-12 * area_f:
+            raise VerificationFailure(f"region {rid} float area off 4*pi/N")
+
+    report = verify_matching(part, points)
+    if not report.ok:
+        raise VerificationFailure("matching verification failed: "
+                                  + "; ".join(report.failures[:10]))
+
+    sq = math.sqrt(n)
+    if model.is_simple:
+        lo_bound, hi_bound = math.pi / math.sqrt(2.0), math.pi * math.sqrt(2.0)
+        label = "(pi/sqrt(2), pi*sqrt(2))"
+    elif model.M >= 2:
+        cst = model_constants(model)
+        lo_bound, hi_bound = cst.d1, cst.d2
+        label = "[d1, d2]"
+    else:
+        lo_bound, hi_bound = 0.0, 2.0 * math.pi * sq
+        label = "(0, 2*pi*sqrt(N))"
+    for j in range(1, model.M + 1):
+        side = partition_mod.side_lengths(part, j).horizontal_lo * sq
+        if model.is_simple:
+            bad = not (lo_bound < side < hi_bound)
+        else:
+            bad = not (lo_bound - 1e-12 <= side <= hi_bound + 1e-12)
+        if bad:
+            raise VerificationFailure(
+                f"collar {j}: sqrt(N) x horizontal side {side:.6f} outside {label}"
+            )
+    return label
+
+
+def _random_models():
+    rng = np.random.default_rng(2024)
+    return [validate(make_random_spec(rng, m_lo=1, m_hi=14, theta_policy=f"seed:{k}"))
+            for k in range(12)]
+
+
+MODELS = (
+    [validate(simple_model(M, theta_policy=theta))
+     for M in (1, 2, 5, 40) for theta in ("zeros", "seed:7")]
+    + _random_models()
+)
+MODEL_IDS = [f"M{m.M}-n{m.spec.n}-{m.spec.theta_policy}-{k}" for k, m in enumerate(MODELS)]
+
+
+def _failure(fn, *args) -> str:
+    with pytest.raises(VerificationFailure) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_certify_agrees_with_per_region_reference(model):
+    part, points = build_partition(model), generate(model)
+    assert certify(part, points) == reference_verify(part, points)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_vectorized_float_areas_equal_region_area(model):
+    part = build_partition(model)
+    for col in part.collars:
+        r = col["r"]
+        phi_lo = partition_mod._phi_lo(col, np.arange(r))
+        areas = (phi_lo + TWO_PI / r - phi_lo) * float(col["h_hi"] - col["h_lo"])
+        for i in range(r):
+            region = part.region(col["first_region"] + i)
+            assert phi_lo[i] == region.phi_lo
+            assert areas[i] == region_area(region)
+
+
+@pytest.mark.parametrize("ring", [0, 3, -1], ids=["first", "fourth", "last"])
+def test_tampered_collar_height_fails_at_ring_start(ring):
+    model = validate(simple_model(4, theta_policy="seed:2"))
+    part, points = build_partition(model), generate(model)
+    col = part._collars[ring]
+    col["h_lo"] += (col["h_hi"] - col["h_lo"]) / 3
+    message = _failure(certify, part, points)
+    assert message == f"region {col['first_region']} area fraction is not 1/N"
+    assert message == _failure(reference_verify, part, points)
+
+
+def test_float_area_failure_names_the_first_bad_cell(monkeypatch):
+    """A longitude pushed to 1e9 rounds phi_hi - phi_lo far past 1e-12."""
+    model = validate(simple_model(3, theta_policy="seed:1"))
+    part, points = build_partition(model), generate(model)
+    target = part._collars[2]
+    phi_lo = partition_mod._phi_lo
+
+    def shifted(col, i):
+        return phi_lo(col, i) + 1e9 * ((np.asarray(i) >= 5) & (col is target))
+
+    monkeypatch.setattr(partition_mod, "_phi_lo", shifted)
+    message = _failure(certify, part, points)
+    assert message == f"region {target['first_region'] + 5} float area off 4*pi/N"
+    assert message == _failure(reference_verify, part, points)
+
+
+def test_tampered_cap_height_fails_at_region_0():
+    model = validate(simple_model(3))
+    part, points = build_partition(model), generate(model)
+    part.h_exact = (part.h_exact[0] - Fraction(1, 1000),) + part.h_exact[1:]
+    message = _failure(certify, part, points)
+    assert message == "region 0 area fraction is not 1/N"
+    assert message == _failure(reference_verify, part, points)
+
+
+def test_swapped_point_rows_fail_matching():
+    model = validate(simple_model(3, theta_policy="seed:5"))
+    part, points = build_partition(model), generate(model)
+    coords = points.coords.copy()
+    coords[[4, 9]] = coords[[9, 4]]
+    swapped = PointSet(coords, parallel=points.parallel,
+                       index_in_parallel=points.index_in_parallel)
+    message = _failure(certify, part, swapped)
+    assert message.startswith("matching verification failed: point 4: locate -> ")
+    assert "; point 9: " in message
+    assert message == _failure(reference_verify, part, swapped)
+
+
+@pytest.mark.parametrize("model", [MODELS[2], MODELS[-1]], ids=["simple", "random"])
+def test_side_outside_band_fails(model, monkeypatch):
+    part, points = build_partition(model), generate(model)
+    monkeypatch.setattr(partition_mod, "side_lengths",
+                        lambda part, j: SideLengths(100.0, 100.0, 1.0, 1.0))
+    message = _failure(certify, part, points)
+    assert message.startswith("collar 1: sqrt(N) x horizontal side ")
+    assert " outside " in message
+    assert message == _failure(reference_verify, part, points)

@@ -218,8 +218,19 @@ def test_empty_points_csv_exits_2(argv, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     code, out, err = run(argv + ["--points", str(empty)], capsys)
-    assert code == 2 and "all checks passed" not in out
+    assert code == 2 and out == ""
     assert "no CSV header" in err
+
+
+@pytest.mark.parametrize("policy", [[True, False, 1], ["a", 0, 1]],
+                         ids=["booleans", "string"])
+def test_non_number_theta_entries_exit_2(policy, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"M": 2, "n": 1, "t": [0, 2], "alpha": [0],
+                                "beta": [4], "theta_policy": policy}))
+    code, out, err = run(["verify", "--model", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "[theta_invalid]" in err
 
 
 def test_envelope_same_in_metrics_and_discrepancy(capsys):

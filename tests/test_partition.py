@@ -117,6 +117,17 @@ def test_matching_random_models_with_rotations():
         assert report.ok, report.failures[:4]
 
 
+def test_interleaving_reads_the_collar_heights():
+    model = validate(simple_model(3))
+    part = build_partition(model)
+    col = part._collars[1]
+    z = model.height_z_exact(col["jp"])
+    col["h_lo"] = (z + col["h_hi"]) / 2
+    report = verify_matching(part, generate(model))
+    assert not report.interleaving_ok and not report.ok
+    assert report.failures[0].startswith(f"parallel {col['jp']}: z = {z} outside (")
+
+
 def test_matching_convention_point_vs_region(simple_suite):
     model, _, part = simple_suite[2]
     # Within a ring of r cells, region i holds point (i + 1) mod r, so

@@ -186,18 +186,22 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _check_ensemble_file(path: str, points: PointSet, error: type[Exception]) -> None:
+    if not np.array_equal(read_points_csv(path).coords, points.coords):
+        raise error(f"{path} does not match the model ensemble")
+
+
 def cmd_verify(args) -> int:
     model = _resolve_model(args)
     points = generate(model)
-    file_points = read_points_csv(args.points) if args.points else None
+    if args.points:
+        _check_ensemble_file(args.points, points, VerificationFailure)
     label = certify(build_partition(model), points)
-    if file_points is not None and not np.array_equal(file_points.coords, points.coords):
-        raise VerificationFailure(f"{args.points} does not match the model ensemble")
     print(f"ok: all {model.N} regions have area 4*pi/N (exact + float)")
     print("ok: height interleaving certificate")
     print("ok: region-point matching is the designed bijection")
     print(f"ok: sqrt(N) x canonical horizontal sides within {label}")
-    if file_points is not None:
+    if args.points:
         print(f"ok: {args.points} matches the regenerated ensemble bit for bit")
     print("all checks passed")
     return 0
@@ -205,12 +209,12 @@ def cmd_verify(args) -> int:
 
 def cmd_metrics(args) -> int:
     model = _resolve_model(args)
-    if args.points:
-        points = read_points_csv(args.points)
-        if model is not None and len(points) != model.N:
-            raise ValueError("points file size does not match the model")
-    elif model is not None:
+    if model is not None:  # its bound and exact profiles hold for its own points only
         points = generate(model)
+        if args.points:
+            _check_ensemble_file(args.points, points, ValueError)
+    elif args.points:
+        points = read_points_csv(args.points)
     else:
         raise ValueError("need --points or a model")
     part = build_partition(model) if model is not None else None
@@ -219,7 +223,6 @@ def cmd_metrics(args) -> int:
         points, model, part,
         riesz_s=tuple(float(s) for s in args.riesz_s.split(",")) if args.riesz_s else (),
         energies=not args.no_energies,
-        covering_k=args.k,
         sup_mode=sup_mode,
         sup_samples=args.samples,
         sup_seed=args.seed,
@@ -359,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sup", choices=["estimate", "exact", "none"], default="estimate")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None, help="covering grid size (>= 10 N)")
     p.add_argument("--l2-quadrature", action="store_true")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_metrics)

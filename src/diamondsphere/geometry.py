@@ -104,10 +104,6 @@ class SphericalCap:
             raise ValueError(f"cap height must lie in [-1, 1], got {self.t!r}")
 
     @property
-    def area(self) -> float:
-        return cap_area(self)
-
-    @property
     def area_fraction(self) -> float:
         return (1.0 - self.t) / 2.0
 
@@ -161,7 +157,7 @@ class PointSet:
 def _as_coords(points) -> np.ndarray:
     if isinstance(points, PointSet):
         return points.coords
-    return np.asarray(points, dtype=float)
+    return np.ascontiguousarray(points, dtype=float)
 
 
 def chord_distance(a: UnitVec, b: UnitVec) -> float:
@@ -231,8 +227,8 @@ def spiral_points(k: int) -> np.ndarray:
     """Deterministic spiral grid of k near-uniform directions.
 
     Golden-angle spiral: heights march linearly through (-1, 1) while the
-    longitude advances by pi*(3 - sqrt(5)) per step.  Used as a test grid
-    for covering estimates and as an equal-area node set for quadrature.
+    longitude advances by pi*(3 - sqrt(5)) per step.  Used as the
+    equal-area node set of the L2 quadrature's cap centers.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

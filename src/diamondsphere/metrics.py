@@ -1,11 +1,12 @@
 """Quality metrics for sphere point sets.
 
-Separation, covering, mesh ratio, pairwise energies, and spherical-cap
-discrepancy: exact polar/equatorial profiles for generated ensembles, a
-certified exact supremum over all caps for small sets, a randomized
-lower estimate of the supremum for everything else, and the L2
-discrepancy by two independent routes (the distance-sum identity, and a
-grid of cap centers with the height integral done exactly).
+Separation and covering radius, both exact on any point set, mesh ratio,
+pairwise energies, and spherical-cap discrepancy: exact polar/equatorial
+profiles for generated ensembles, a certified exact supremum over all
+caps for small sets, a randomized lower estimate of the supremum for
+everything else, and the L2 discrepancy by two independent routes (the
+distance-sum identity, and a grid of cap centers with the height
+integral done exactly).
 
 Determinism contract: every randomized routine takes an explicit seed,
 and pairwise reductions accumulate per-row partial sums combined with
@@ -26,12 +27,14 @@ import numpy as np
 from .ensemble import DiamondModel, generate, model_constants
 from .geometry import (
     BOUNDARY_TOL,
+    DEGENERATE_TOL,
     NORTH_POLE,
     TWO_PI,
     DuplicatePointError,
     PointSet,
     SphericalCap,
     UnitVec,
+    _as_coords,
     count_in_cap,
     spiral_points,
 )
@@ -59,19 +62,12 @@ def cap_discrepancy_envelope(n: int) -> tuple[float, float]:
     return math.sqrt(n - 2) / n, ENVELOPE_UPPER_COEFF / math.sqrt(n)
 
 
-def _coords(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.coords
-    return np.ascontiguousarray(points, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # separation
 
 
-# Candidate pairs per block of the separation sweep.  It bounds the
-# sweep's temporaries however the points crowd into cubes.
-_SEPARATION_BLOCK_PAIRS = 4_000_000
+# Index pairs per block of the cube-grid sweeps, bounding their temporaries.
+_SEPARATION_BLOCK_PAIRS = 1_000_000
 
 # The cube itself and the 13 adjacent offsets that follow it
 # lexicographically: together they reach every pair of adjacent cubes once.
@@ -81,32 +77,40 @@ _FORWARD_CUBES = [o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0,
 def separation(points) -> float:
     """Minimal pairwise chord distance; a zero result flags duplicate points.
 
-    Exact on any point set, with no use of provenance tags.  The points
-    are hashed into cubes of side h, starting at h = 4/sqrt(N), and every
-    pair in the same or adjacent cubes is measured.  A pair closer than h
-    always lies in adjacent cubes, so a minimum below h, with a relative
-    margin of 1e-9 for the rounding of the cube index, is the minimum
-    over all pairs; otherwise h doubles and the sweep repeats.  4/sqrt(N)
-    lies above the best packing separation of N points on the unit
-    sphere (about 3.8/sqrt(N) for large N), so one sweep, of about 6.5 N
-    pairs for spread-out points, is the rule.  Squared distances use the
-    arithmetic of a plain all-pairs scan, so the result is the same float.
+    Exact on any point set, with no use of provenance tags: every pair in
+    the same or adjacent cubes of side h is measured, starting at
+    h = 4/sqrt(N).  A pair closer than h always lies in adjacent cubes, so
+    a minimum below h, with a relative margin of 1e-9 for the rounding of
+    the cube index, is the minimum over all pairs; otherwise h doubles.
+    4/sqrt(N) lies above the best packing separation of N points (about
+    3.8/sqrt(N)), so one sweep of about 6.5 N pairs is the rule.  Squared
+    distances use the arithmetic of a plain all-pairs scan, so the result
+    is the same float.
     """
-    coords = _coords(points)
+    coords = _as_coords(points)
     if len(coords) < 2:
         raise ValueError("separation needs at least two points")
     if not np.isfinite(coords).all():
         raise ValueError("separation needs finite coordinates")
     h = 4.0 / math.sqrt(len(coords))
     while True:
-        best = _adjacent_cubes_min_d2(coords, h)
+        order, blocks = _cube_pairs(coords, h)
+        xyz = coords[order]
+        best = min((float(_pair_d2(xyz, i, j).min()) for i, j in blocks), default=np.inf)
         if best < (h * (1.0 - 1e-9)) ** 2:
             return math.sqrt(best)
         h *= 2.0
 
 
-def _adjacent_cubes_min_d2(coords: np.ndarray, h: float) -> float:
-    """Smallest squared distance over the pairs in the same or adjacent cubes of side h."""
+def _pair_d2(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    d = coords[i] - coords[j]
+    return np.square(d, out=d).sum(axis=1)
+
+
+def _cube_pairs(coords: np.ndarray, h: float):
+    """(order, blocks): coords[order] groups the points by cube of side h, and
+    blocks (i, j) of its positions hold each pair in the same or adjacent
+    cubes once, so every pair closer than h, up to rounding."""
     cube = np.floor(coords / h).astype(np.int64)
     # An empty layer of cubes on every side keeps a neighbour's key from
     # wrapping into another row of the grid.
@@ -114,143 +118,194 @@ def _adjacent_cubes_min_d2(coords: np.ndarray, h: float) -> float:
     dims = cube.max(axis=0) + 2
     key = (cube[:, 0] * dims[1] + cube[:, 1]) * dims[2] + cube[:, 2]
     order = np.argsort(key)
-    xyz = coords[order]
     keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
     cube_of = np.repeat(np.arange(len(keys)), count)
 
-    # Point i pairs with a range of later points per offset: the rest of
-    # its own cube, or the whole of a forward cube, which sorts after it.
-    best = np.inf
-    for dx, dy, dz in _FORWARD_CUBES:
-        if (dx, dy, dz) == (0, 0, 0):
-            lo = np.arange(1, len(xyz) + 1)
-            hi = (start + count)[cube_of]
-        else:
-            target = keys + (dx * dims[1] + dy) * dims[2] + dz
-            b = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
-            hit = keys[b] == target
-            lo = np.where(hit, start[b], 0)[cube_of]
-            hi = np.where(hit, start[b] + count[b], 0)[cube_of]
-        best = min(best, _ranges_min_d2(xyz, lo, hi))
-    return best
+    def blocks():
+        # Sorted point i pairs with a range of later points per offset: the
+        # rest of its own cube, or the whole of a forward cube.
+        for dx, dy, dz in _FORWARD_CUBES:
+            if (dx, dy, dz) == (0, 0, 0):
+                lo = np.arange(1, len(order) + 1)
+                hi = (start + count)[cube_of]
+            else:
+                target = keys + (dx * dims[1] + dy) * dims[2] + dz
+                b = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+                hit = keys[b] == target
+                lo = np.where(hit, start[b], 0)[cube_of]
+                hi = np.where(hit, start[b] + count[b], 0)[cube_of]
+            yield from _range_blocks(lo, hi)
+
+    return order, blocks()
 
 
-def _ranges_min_d2(xyz: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Smallest squared distance from each point i to points lo[i] .. hi[i] - 1.
-
-    Pairs are formed in blocks of whole rows, at most
-    _SEPARATION_BLOCK_PAIRS pairs unless one row alone has more, so
-    memory stays bounded however the ranges are spread.  d2 is
-    np.sum((a - b) ** 2, axis=1), done in place.
-    """
+def _range_blocks(lo: np.ndarray, hi: np.ndarray):
+    """Nonempty blocks (r, c) of the pairs lo[r] <= c < hi[r], in row order:
+    whole rows, at most _SEPARATION_BLOCK_PAIRS pairs unless one row has more."""
     length = hi - lo
     end = np.cumsum(length)
-    best = np.inf
     row = 0
-    while row < len(xyz):
+    while row < len(lo):
         base = end[row] - length[row]
         stop = max(row + 1, int(np.searchsorted(end, base + _SEPARATION_BLOCK_PAIRS, "right")))
         n_pairs = int(end[stop - 1] - base)
         if n_pairs:
             run = length[row:stop]
-            i = np.repeat(np.arange(row, stop), run)
-            j = np.arange(n_pairs) + np.repeat(lo[row:stop] - (end[row:stop] - run - base), run)
-            d = xyz[i]
-            d -= xyz[j]
-            best = min(best, float(np.square(d, out=d).sum(axis=1).min()))
+            yield (np.repeat(np.arange(row, stop), run),
+                   np.arange(n_pairs) + np.repeat(lo[row:stop] - (end[row:stop] - run - base), run))
         row = stop
-    return best
 
 
 # ---------------------------------------------------------------------------
 # covering and mesh ratio
 
 
+# sqrt(N) h of the first covering pass without a partition: the one-piece
+# model needs h >= 2 rho ~ 5.3/sqrt(N), the best covering 4.4/sqrt(N).
+_COVERING_START = 6.0
+
+# Neighbour pairs, triples or cap-point dots one covering pass, or the dots
+# the exhaustive search, may take: spread-out points need under 10^3 per point.
+_COVERING_MAX_WORK = 100_000_000
+
+
 @dataclass(frozen=True)
 class CoveringRadius:
-    """Grid lower estimate and certified upper bound for the covering radius."""
+    """Exact covering radius (estimate, a name the report keys keep) and a
+    certified upper bound: the partition's, or the trivial 2 without one."""
 
     estimate: float
     upper_bound: float
 
 
-def _polish_far_direction(coords: np.ndarray, y: np.ndarray,
-                          iters: int = 12) -> float:
-    """Push a far direction onto the local Voronoi vertex.
+def covering_radius(points, partition: Partition | None = None) -> CoveringRadius:
+    """The largest chord from any location on the sphere to its nearest point.
 
-    The locally farthest location from a point set is equidistant from
-    its three nearest points, i.e. their circumcenter; iterating that
-    replacement converges in a few steps.  Returns the best nearest-dot
-    seen, so the caller still reports a true lower bound.
+    rho = sqrt(2 - 2 tau), tau = min over unit c of max_i c.x_i.  With the
+    origin strictly inside the hull, tau is the least offset of a facet,
+    whose normal centers an empty circumcap of three points pairwise within
+    2 rho (Brown 1979; Renka 1997).  So triples among neighbours within
+    chord h, from separation's cube grid, are enumerated; a circumcap of
+    radius <= h/2 with no neighbour over BOUNDARY_TOL inside is a facet, and
+    caps with the same boundary points form one face.  All faces are found
+    when sum (k_f - 2) = 2 N - 4 (Euler); otherwise h doubles, and only
+    points not yet closed in by found triangles start triples.  h starts at
+    twice the partition's bound, which only seeds the search, or at
+    _COVERING_START/sqrt(N).  Sets in a closed hemisphere (N <= 3 among them)
+    take sup_discrepancy_exact's centers; ValueError past _COVERING_MAX_WORK.
     """
-    def nearest_dot(v):
-        return float(np.max(coords @ v))
-
-    best = nearest_dot(y)
-    if len(coords) < 3:
-        return best
-    for _ in range(iters):
-        order = np.argsort(-(coords @ y))[:3]
-        a, b, c = coords[order]
-        normal = np.cross(b - a, c - a)
-        nn = np.linalg.norm(normal)
-        if nn <= 1e-12:
-            break
-        normal /= nn
-        if float(normal @ y) < 0.0:
-            normal = -normal
-        cand = nearest_dot(normal)
-        if cand >= best - 1e-15:
-            break
-        best = cand
-        y = normal
-    return best
-
-
-def covering_radius(points, k: int | None = None,
-                    partition: Partition | None = None) -> CoveringRadius:
-    """Covering radius bracketed from both sides.
-
-    The estimate maximizes the nearest-point distance over a
-    deterministic spiral grid of k >= 10 N directions, then polishes the
-    regional winners onto their local Voronoi vertices; every evaluated
-    direction is real, so the estimate stays a lower bound.  With a
-    partition, the upper bound is the farthest any location of a region
-    can sit from the region's matched point; otherwise the trivial bound
-    2 is reported.
-    """
-    coords = _coords(points)
-    n = len(coords)
-    if k is None:
-        k = max(10 * n, 10_000)
-    if k < 10 * n:
-        raise ValueError(f"need k >= 10 N = {10 * n}, got {k}")
-    grid = spiral_points(k)
-    worst_dot = np.inf
-    seeds = []
-    block = max(16, int(4e6 // max(n, 1)))
-    for a in range(0, k, block):
-        dots = grid[a:a + block] @ coords.T
-        rowmax = dots.max(axis=1)
-        kmin = int(np.argmin(rowmax))
-        seeds.append(grid[a + kmin])
-        worst_dot = min(worst_dot, float(rowmax[kmin]))
-    for y in seeds:
-        worst_dot = min(worst_dot, _polish_far_direction(coords, y))
-    estimate = math.sqrt(max(0.0, 2.0 - 2.0 * worst_dot))
+    coords = np.unique(_as_coords(points), axis=0)
+    if not len(coords) or not np.isfinite(coords).all():
+        raise ValueError("covering radius needs at least one point, all finite")
     upper = covering_upper_bound(partition) if partition is not None else 2.0
-    return CoveringRadius(estimate, upper)
+    h = 2.0 * upper if partition is not None else _COVERING_START / math.sqrt(len(coords))
+    tau = _facet_offset(coords, h) if len(coords) >= 4 else None
+    if tau is None:
+        tau = _exhaustive_offset(coords)
+    return CoveringRadius(math.sqrt(max(0.0, 2.0 - 2.0 * tau)), upper)
 
 
-def mesh_ratio(points, partition: Partition | None = None,
-               k: int | None = None) -> float:
-    """Covering-to-separation ratio, conservative when a partition is given.
+def _facet_offset(coords: np.ndarray, h: float) -> float | None:
+    """tau from the empty circumcaps; None if faces are missing once h > 3,
+    past every facet's cap radius (below sqrt(2)): a closed hemisphere."""
+    n = len(coords)
+    tau, tris, faces, open_ = np.inf, np.empty((0, 3), np.int64), set(), np.ones(n, bool)
+    while True:
+        t, new_tris, new_faces = _empty_circumcaps(coords, h, open_)
+        tau = min(tau, t)
+        tris = np.unique(np.vstack([tris, np.sort(new_tris, axis=1)]), axis=0)
+        faces |= new_faces
+        if len(tris) + sum(len(f) - 2 for f in faces) == 2 * n - 4:
+            return tau
+        if h > 3.0:
+            return None
+        # Open: in no found triangle, on an edge found once, or in a larger face.
+        edges, count = np.unique(np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
+                                 axis=0, return_counts=True)
+        open_[:] = True
+        open_[tris] = False
+        open_[edges[count == 1]] = True
+        open_[[p for f in faces for p in f]] = True
+        h *= 2.0
 
-    With a partition the certified covering upper bound is used, so the
-    returned value is an upper bound for the true mesh ratio.
-    """
-    cov = covering_radius(points, k=k, partition=partition)
-    rho = cov.upper_bound if partition is not None else cov.estimate
+
+def _empty_circumcaps(coords: np.ndarray, h: float, open_: np.ndarray):
+    """Empty circumcaps of radius <= h/2 on open triples pairwise within
+    chord h: (least offset, three-point faces, larger faces' point sets)."""
+    n = len(coords)
+    order, blocks = _cube_pairs(coords, h)
+    xyz, src, dst, pairs = coords[order], [np.arange(n)], [np.arange(n)], 0
+    for i, j in blocks:
+        _covering_budget(pairs := pairs + len(i), "neighbour pairs")
+        near = _pair_d2(xyz, i, j) <= h * h
+        i, j = order[i], order[j]
+        for a, b in ((i, j), (j, i)):
+            src.append(a[near & open_[a]])
+            dst.append(b[near & open_[a]])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    # Row p holds open p's neighbours, p included, open later ones first.
+    starter = (dst > src) & open_[dst]
+    order = np.lexsort((~starter, src))
+    owner, nbr = src[order], dst[order]
+    ptr = np.searchsorted(owner, np.arange(n + 1))
+    # Triple (p, j, k): slot s of row p holds j, a later starter slot k.
+    lo = np.arange(1, len(nbr) + 1)
+    hi = np.where(starter[order], (ptr[:-1] + np.bincount(src[starter], minlength=n))[owner], lo)
+    _covering_budget(int((hi - lo).sum()), "triples")
+    tau, tris, faces, dots = np.inf, [np.empty((0, 3), np.int64)], set(), 0
+    for s, t in _range_blocks(lo, hi):
+        p, a = owner[s], coords[owner[s]]
+        normal = np.cross(coords[nbr[s]] - a, coords[nbr[t]] - a)
+        norm = np.linalg.norm(normal, axis=1)
+        normal /= np.maximum(norm, DEGENERATE_TOL)[:, None]
+        d = np.einsum("ij,ij->i", normal, a)
+        normal[d < 0] *= -1.0
+        d = np.abs(d)
+        keep = (norm > DEGENERATE_TOL) & (8.0 - 8.0 * d <= (h * (1.0 - 1e-9)) ** 2)
+        normal, d, p, s, t = normal[keep], d[keep], p[keep], s[keep], t[keep]
+        _covering_budget(dots := dots + int((ptr[p + 1] - ptr[p]).sum()), "cap-point dots")
+        inside = np.zeros(len(d), dtype=bool)
+        rows, on = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for u, m in _range_blocks(ptr[p], ptr[p + 1]):
+            gap = np.einsum("ij,ij->i", normal[u], coords[nbr[m]]) - d[u]
+            inside[u[gap > BOUNDARY_TOL]] = True
+            edge = np.abs(gap) <= BOUNDARY_TOL
+            rows.append(u[edge])
+            on.append(nbr[m[edge]])
+        tau = min(tau, float(d[~inside].min(initial=np.inf)))
+        # A three-point face is its triple; a larger one, met once per
+        # triple of its points, is known by its point set.
+        rows, on = np.concatenate(rows), np.concatenate(on)
+        k = np.bincount(rows, minlength=len(d))
+        three = ~inside & (k == 3)
+        tris.append(np.column_stack([p[three], nbr[s[three]], nbr[t[three]]]))
+        big = ~inside[rows] & (k[rows] > 3)
+        cuts = np.flatnonzero(np.diff(rows[big])) + 1
+        faces.update(frozenset(f.tolist()) for f in np.split(on[big], cuts) if len(f))
+    return tau, np.concatenate(tris), faces
+
+
+def _exhaustive_offset(coords: np.ndarray) -> float:
+    """tau over sup_discrepancy_exact's centers (one to three points share the
+    largest dot) and, for antipodes alone at tau = 0, one orthogonal c."""
+    n = len(coords)
+    _covering_budget(n * (2 * n + n * (n - 1) + 2 * math.comb(n, 3) + 1), "dots")
+    orth = np.cross(coords[0], np.eye(3)[np.argmin(np.abs(coords[0]))])
+    family = itertools.chain(_cap_centers(coords), [orth[None] / np.linalg.norm(orth)])
+    return min(float((c @ coords.T).max(axis=1).min()) for c in family if len(c))
+
+
+def _covering_budget(work: int, what: str) -> None:
+    if work > _COVERING_MAX_WORK:
+        raise ValueError(f"covering radius needs {work} {what}, over {_COVERING_MAX_WORK}: "
+                         "the points lie in a hemisphere or leave a large hole")
+
+
+def mesh_ratio(points, partition: Partition | None = None) -> float:
+    """Covering-to-separation ratio: exact without a partition, an upper bound
+    from the partition's certified covering bound with one."""
+    rho = (covering_upper_bound(partition) if partition is not None
+           else covering_radius(points).estimate)
     return rho / separation(points)
 
 
@@ -336,19 +391,19 @@ def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
 
 def riesz_energy(points, s: float, workers: int | None = None) -> float:
     """Sum over ordered pairs i != j of ||x_i - x_j||^(-s), s > 0."""
-    (total,) = _pair_sums(_coords(points), riesz_s=(s,), workers=workers)
+    (total,) = _pair_sums(_as_coords(points), riesz_s=(s,), workers=workers)
     return total
 
 
 def log_energy(points, workers: int | None = None) -> float:
     """Sum over ordered pairs i != j of log(1/||x_i - x_j||)."""
-    (total,) = _pair_sums(_coords(points), log=True, workers=workers)
+    (total,) = _pair_sums(_as_coords(points), log=True, workers=workers)
     return total
 
 
 def sum_distances(points, workers: int | None = None) -> float:
     """Sum over ordered pairs i != j of ||x_i - x_j||."""
-    (total,) = _pair_sums(_coords(points), distance=True, workers=workers)
+    (total,) = _pair_sums(_as_coords(points), distance=True, workers=workers)
     return total
 
 
@@ -360,40 +415,24 @@ def sum_distances(points, workers: int | None = None) -> float:
 class PolarProfile:
     """Cap discrepancies at the parallel heights, center at the north pole.
 
-    exact[j - 1] = |N_{j+1}/N - (1 - z_j)/2| as a Fraction; counting
-    holds the same quantities recomputed by brute-force cap counting on
-    the generated coordinates.  closed_form is filled for the
-    one-piece r = 4x model, where the profile has a polynomial form and
-    its maximum is sqrt(N - 2)/N exactly.
+    exact[j - 1] = |N_{j+1}/N - (1 - z_j)/2| as a Fraction.  closed_form is
+    filled for the one-piece r = 4x model, where the profile has a
+    polynomial form and its maximum is sqrt(N - 2)/N exactly.
     """
 
     j: tuple[int, ...]
     exact: tuple[Fraction, ...]
-    counting: np.ndarray
     closed_form: tuple[Fraction, ...] | None
     max_exact: Fraction
     argmax_j: int
 
-    @property
-    def max_value(self) -> float:
-        return float(self.max_exact)
-
 
 def polar_cap_profile(model: DiamondModel, points: PointSet | None = None) -> PolarProfile:
-    """Exact + counted cap discrepancy at heights z_1 .. z_M."""
-    if points is None:
-        points = generate(model)
+    """Exact cap discrepancy at heights z_1 .. z_M (points is not read)."""
     N = model.N
     js = tuple(range(1, model.M + 1))
-    exact = []
-    counting = np.empty(len(js))
-    for k, j in enumerate(js):
-        zj = model.height_z_exact(j)
-        expected = abs(Fraction(model.partial_count(j + 1), N) - (1 - zj) / 2)
-        exact.append(expected)
-        cap = SphericalCap(NORTH_POLE, float(zj))
-        counted = count_in_cap(points, cap, "closed")
-        counting[k] = abs(counted / N - (1.0 - float(zj)) / 2.0)
+    exact = [abs(Fraction(model.partial_count(j + 1), N) - (1 - model.height_z_exact(j)) / 2)
+             for j in js]
     closed_form = None
     if model.is_simple:
         closed_form = tuple(
@@ -401,9 +440,7 @@ def polar_cap_profile(model: DiamondModel, points: PointSet | None = None) -> Po
         )
         assert tuple(exact) == closed_form
     best = max(range(len(js)), key=lambda k: exact[k])
-    return PolarProfile(
-        js, tuple(exact), counting, closed_form, exact[best], js[best]
-    )
+    return PolarProfile(js, tuple(exact), closed_form, exact[best], js[best])
 
 
 @dataclass(frozen=True)
@@ -527,33 +564,38 @@ def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
     heights, counting closed and open.  Cost grows like N^4 log N; the
     max_points guard keeps accidental large inputs out.
     """
-    coords = _coords(points)
+    coords = _as_coords(points)
     n = len(coords)
     if n > max_points:
         raise ValueError(f"exact supremum limited to {max_points} points, got {n}")
     if n < 2:
         raise ValueError("need at least two points")
 
-    def blocks():
-        yield np.vstack([coords, -coords])
-        iu, ju = np.triu_indices(n, 1)
-        mids = coords[iu] + coords[ju]
-        norms = np.linalg.norm(mids, axis=1)
-        keep = norms > 1e-12
-        mids = mids[keep] / norms[keep, None]
-        yield from _blocked([mids, -mids], 8192)
-        combos = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
-        for lo in range(0, len(combos), 8192):
-            tri = combos[lo:lo + 8192]
-            a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
-            normal = np.cross(b - a, c - a)
-            norms = np.linalg.norm(normal, axis=1)
-            keep = norms > 1e-12
-            normal = normal[keep] / norms[keep, None]
-            yield normal
-            yield -normal
+    return _best_over_centers(coords, _cap_centers(coords))
 
-    return _best_over_centers(coords, blocks())
+
+def _cap_centers(coords: np.ndarray):
+    """Blocks of candidate centers: every point and antipode, every
+    normalized pair midpoint and its antipode, and both normals of every
+    point triple."""
+    n = len(coords)
+    yield np.vstack([coords, -coords])
+    iu, ju = np.triu_indices(n, 1)
+    mids = coords[iu] + coords[ju]
+    norms = np.linalg.norm(mids, axis=1)
+    keep = norms > 1e-12
+    mids = mids[keep] / norms[keep, None]
+    yield from _blocked([mids, -mids], 8192)
+    combos = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
+    for lo in range(0, len(combos), 8192):
+        tri = combos[lo:lo + 8192]
+        a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
+        normal = np.cross(b - a, c - a)
+        norms = np.linalg.norm(normal, axis=1)
+        keep = norms > 1e-12
+        normal = normal[keep] / norms[keep, None]
+        yield normal
+        yield -normal
 
 
 def sup_discrepancy_estimate(points, n_samples: int = 10_000,
@@ -566,7 +608,7 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
     attains the maximum over every cap height, so no other height with
     that center can give more.
     """
-    coords = _coords(points)
+    coords = _as_coords(points)
     n = len(coords)
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n_samples)
@@ -592,7 +634,7 @@ def _stolarsky_l2(distance_sum: float, n: int) -> float:
 
 def l2_discrepancy_stolarsky(points, workers: int | None = None) -> float:
     """L2 cap discrepancy via the distance-sum identity (see module head)."""
-    coords = _coords(points)
+    coords = _as_coords(points)
     n = len(coords)
     return _stolarsky_l2(0.0 if n == 1 else sum_distances(coords, workers), n)
 
@@ -610,7 +652,7 @@ def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
     grid leaves an error, so this converges to the Stolarsky route as
     n_centers grows; it is that route's independent check.
     """
-    coords = _coords(points)
+    coords = _as_coords(points)
     n = len(coords)
     centers = spiral_points(n_centers)
     offsets = (n - 1 - 2 * np.arange(n)) / n
@@ -648,7 +690,7 @@ def stolarsky_constant_estimate(points, n_centers: int = 20_000,
     Estimates the invariance constant from scratch; the calibration
     script medians this over several sets to pin STOLARSKY_CONSTANT.
     """
-    coords = _coords(points)
+    coords = _as_coords(points)
     n = len(coords)
     mean = 0.0 if n == 1 else sum_distances(coords, workers) / (n * n)
     d = l2_discrepancy_quadrature(coords, n_centers=n_centers)
@@ -700,7 +742,6 @@ def compute_metrics(points: PointSet,
                     *,
                     riesz_s: tuple[float, ...] = (1.0,),
                     energies: bool = True,
-                    covering_k: int | None = None,
                     sup_mode: str | None = "estimate",
                     sup_samples: int = 10_000,
                     sup_seed: int = 0,
@@ -712,7 +753,7 @@ def compute_metrics(points: PointSet,
 
     if n >= 2:
         rep.separation = separation(points)
-        cov = covering_radius(points, k=covering_k, partition=partition)
+        cov = covering_radius(points, partition=partition)
         rep.covering_estimate = cov.estimate
         rep.covering_upper_bound = cov.upper_bound
         rep.mesh_ratio_estimate = cov.estimate / rep.separation
@@ -720,7 +761,7 @@ def compute_metrics(points: PointSet,
             rep.mesh_ratio = cov.upper_bound / rep.separation
         if energies:
             *riesz, rep.log_energy, rep.sum_distances = _pair_sums(
-                _coords(points), riesz_s, log=True, distance=True, workers=workers
+                _as_coords(points), riesz_s, log=True, distance=True, workers=workers
             )
             rep.riesz = {str(s): v for s, v in zip(riesz_s, riesz)}
     if rep.sum_distances is None:
@@ -730,19 +771,12 @@ def compute_metrics(points: PointSet,
     if l2_quadrature:
         rep.d_l2_quadrature = l2_discrepancy_quadrature(points)
 
-    if sup_mode == "exact":
-        sup = sup_discrepancy_exact(points)
-    elif sup_mode == "estimate":
-        sup = sup_discrepancy_estimate(points, n_samples=sup_samples, seed=sup_seed)
-    elif sup_mode is None:
-        sup = None
-    else:
+    if sup_mode not in ("exact", "estimate", None):
         raise ValueError(f"unknown sup mode {sup_mode!r}")
-    if sup is not None:
-        if sup_mode == "exact":
-            rep.d_sup_exact = sup.value
-        else:
-            rep.d_sup_estimate = sup.value
+    if sup_mode is not None:
+        sup = (sup_discrepancy_exact(points) if sup_mode == "exact" else
+               sup_discrepancy_estimate(points, n_samples=sup_samples, seed=sup_seed))
+        setattr(rep, f"d_sup_{sup_mode}", sup.value)
         rep.d_sup_side = sup.side
         c = sup.witness.center
         rep.d_sup_witness_center = [c.x, c.y, c.z]

@@ -227,6 +227,21 @@ def _phi_lo(col: dict, i):
     return (TWO_PI * i / r + math.pi / r + col["theta"]) % TWO_PI
 
 
+# Relative rounding of a float area besides its longitude difference: the
+# height difference, the product and 4*pi/N, half an eps each, with room.
+_AREA_EPS = 4.0 * np.finfo(float).eps
+
+
+def _ring_areas(col: dict) -> tuple[np.ndarray, float]:
+    """Float areas of a ring's cells and their relative rounding bound: the
+    sum phi_lo + 2*pi/r lies below 4*pi, so its difference with phi_lo is
+    off by ulp(2*pi) at most, doubled to r*ulp(2*pi)/pi relative."""
+    r = col["r"]
+    phi_lo = _phi_lo(col, np.arange(r))
+    areas = (phi_lo + TWO_PI / r - phi_lo) * float(col["h_hi"] - col["h_lo"])
+    return areas, r * math.ulp(TWO_PI) / math.pi + _AREA_EPS
+
+
 def build_partition(model: DiamondModel) -> Partition:
     return Partition(model)
 
@@ -354,8 +369,8 @@ def certify(partition: Partition, points: PointSet) -> str:
     """Run verify's checks in order and return the label of the side band.
 
     Exact areas are checked once per cap and per ring, whose cells share
-    exact heights and r, and float areas per cell.  Raises
-    VerificationFailure at the first failure.
+    exact heights and r, and float areas per cell to their rounding bound.
+    Raises VerificationFailure at the first failure.
     """
     model = partition.model
     n = model.N
@@ -365,12 +380,10 @@ def certify(partition: Partition, points: PointSet) -> str:
         if region_area_fraction_exact(partition, region) != Fraction(1, n):
             raise VerificationFailure(f"region {rid} area fraction is not 1/N")
         if region.kind == "rect":
-            col = partition._collars[region.j - 1]
-            phi_lo = _phi_lo(col, np.arange(col["r"]))
-            areas = (phi_lo + TWO_PI / col["r"] - phi_lo) * float(col["h_hi"] - col["h_lo"])
+            areas, rel_tol = _ring_areas(partition._collars[region.j - 1])
         else:
-            areas = np.array([region_area(region)])
-        off = np.flatnonzero(np.abs(areas - area_f) > 1e-12 * area_f)
+            areas, rel_tol = np.array([region_area(region)]), _AREA_EPS
+        off = np.flatnonzero(np.abs(areas - area_f) > rel_tol * area_f)
         if off.size:
             raise VerificationFailure(f"region {rid + int(off[0])} float area off 4*pi/N")
 
@@ -450,19 +463,5 @@ def covering_upper_bound(partition: Partition) -> float:
 
 def partition_records(partition: Partition) -> list[dict]:
     """Flat serializable description of every region, in region-id order."""
-    rows = []
-    for reg in partition:
-        rows.append({
-            "region_id": reg.region_id,
-            "kind": reg.kind,
-            "j": reg.j,
-            "i": reg.i,
-            "phi_lo": reg.phi_lo,
-            "phi_hi": reg.phi_hi,
-            "h_lo": reg.h_lo,
-            "h_hi": reg.h_hi,
-            "h_lo_exact": str(reg.h_lo_exact),
-            "h_hi_exact": str(reg.h_hi_exact),
-            "matched_point": reg.matched_point,
-        })
-    return rows
+    return [{**vars(reg), "h_lo_exact": str(reg.h_lo_exact), "h_hi_exact": str(reg.h_hi_exact)}
+            for reg in partition]

@@ -168,3 +168,34 @@ def test_side_outside_band_fails(model, monkeypatch):
     assert message.startswith("collar 1: sqrt(N) x horizontal side ")
     assert " outside " in message
     assert message == _failure(reference_verify, part, points)
+
+
+def test_float_area_bound_holds_at_m_4000():
+    """The rounding of phi_hi - phi_lo grows with r; near the equator of
+    M = 4,000 it passes 1e-12 and stays within r*ulp(2*pi)/pi."""
+    model = validate(simple_model(4000, theta_policy="seed:4"))
+    part = build_partition(model)
+    area_f = SPHERE_AREA / model.N
+    worst = 0.0
+    for col in part._collars[3990:4010]:
+        areas, rel_tol = partition_mod._ring_areas(col)
+        err = float(np.abs(areas - area_f).max()) / area_f
+        assert err <= rel_tol
+        assert rel_tol <= col["r"] * math.ulp(TWO_PI) / math.pi + 1e-15
+        worst = max(worst, err)
+    assert worst > 1e-12
+
+
+def test_float_area_bound_is_tight_for_small_rings(monkeypatch):
+    """At r = 16 the bound is below 1e-14, so an area off by 1e-13 fails."""
+    model = validate(simple_model(4, theta_policy="seed:2"))
+    part, points = build_partition(model), generate(model)
+    ring_areas = partition_mod._ring_areas
+
+    def skewed(col):
+        areas, rel_tol = ring_areas(col)
+        return areas * (1.0 + 1e-13 * (col["jp"] == 4)), rel_tol
+
+    monkeypatch.setattr(partition_mod, "_ring_areas", skewed)
+    assert _failure(certify, part, points) == \
+        f"region {part._collars[3]['first_region']} float area off 4*pi/N"

@@ -315,3 +315,20 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
+
+
+def test_metrics_rejects_points_that_are_not_the_model_ensemble(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    coords = rng.standard_normal((66, 3))
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    pts = tmp_path / "pts.csv"
+    rows = [",".join(CSV_HEADER)] + [
+        f"{k},0,{k},{x:.17g},{y:.17g},{z:.17g},0,{z:.17g}" for k, (x, y, z) in enumerate(coords)
+    ]
+    pts.write_text("\n".join(rows) + "\n")
+    code, out, err = run(["metrics", "--simple-M", "4", "--points", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert "does not match the model ensemble" in err
+    # Without a model the same file is measured as it is.
+    code, out, _ = run(["metrics", "--points", str(pts), "--sup", "none"], capsys)
+    assert code == 0 and json.loads(out)["covering_upper_bound"] == 2.0

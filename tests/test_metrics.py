@@ -117,13 +117,6 @@ def test_covering_octahedron(octahedron, octahedron_points):
         pytest.approx(cov.upper_bound / math.sqrt(2.0), rel=1e-12)
 
 
-def test_covering_grid_size_guard(octahedron_points):
-    with pytest.raises(ValueError):
-        covering_radius(octahedron_points, k=59)
-    cov = covering_radius(octahedron_points, k=60)
-    assert 0.0 < cov.estimate <= 2.0
-
-
 def test_covering_estimate_below_certified_bound():
     for M in (2, 3, 5):
         model = validate(simple_model(M))
@@ -175,7 +168,7 @@ def test_compute_metrics_constants_for_simple_model():
 
 def test_small_sets_separation_covering_mesh():
     north = PointSet(np.array([[0.0, 0.0, 1.0]]))
-    cov = covering_radius(north, k=2000)
+    cov = covering_radius(north)
     # south pole is the farthest location; no partition means trivial bound
     assert cov.upper_bound == 2.0
     assert 2.0 - 1e-2 < cov.estimate <= 2.0
@@ -184,7 +177,7 @@ def test_small_sets_separation_covering_mesh():
     assert separation(pair) == 2.0
     assert riesz_energy(pair, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert sum_distances(pair) == pytest.approx(4.0, abs=1e-15)
-    gamma = mesh_ratio(pair, k=4000)
+    gamma = mesh_ratio(pair)
     # farthest locations sit on the equator, chord sqrt(2) to either pole
     assert abs(gamma - math.sqrt(0.5)) < 2e-3
     assert gamma > 0.0

@@ -8,17 +8,14 @@ discrepancy in exact, randomized, and L2 forms.
 
 from .ensemble import (DiamondModel, ModelConstants, ModelError, ModelSpec, generate,
                        model_constants, resolve_thetas, simple_model, validate)
-from .geometry import (BOUNDARY_TOL, NORTH_POLE, SOUTH_POLE, DegenerateCapError,
-                       DuplicatePointError, PointSet, SphericalCap, UnitVec, cap_area,
-                       chord_distance, circumcap, count_in_cap, pair_diametral_cap,
-                       spiral_points)
+from .geometry import (BOUNDARY_TOL, NORTH_POLE, SOUTH_POLE, DuplicatePointError, PointSet,
+                       SphericalCap, UnitVec, count_in_cap, spiral_points)
 from .metrics import (MEAN_CHORD, STOLARSKY_CONSTANT, CoveringRadius, MetricsReport,
                       SupDiscrepancy, compute_metrics, covering_radius,
                       equatorial_discrepancy, l2_discrepancy_quadrature,
-                      l2_discrepancy_stolarsky, log_energy, mean_chord_monte_carlo,
-                      mesh_ratio, polar_cap_profile, riesz_energy, separation,
-                      stolarsky_constant_estimate, sum_distances,
-                      sup_discrepancy_estimate, sup_discrepancy_exact)
+                      l2_discrepancy_stolarsky, log_energy, polar_cap_profile,
+                      riesz_energy, separation, stolarsky_constant_estimate,
+                      sum_distances, sup_discrepancy_estimate, sup_discrepancy_exact)
 from .partition import (MatchingReport, Partition, Region, SideLengths,
                         VerificationFailure, build_partition, certify,
                         covering_upper_bound, partition_records, polar_cap_radius,
@@ -30,14 +27,12 @@ __version__ = "0.1.0"
 # The public names, without the submodules that `dir()` would add.
 __all__ = ["DiamondModel", "ModelConstants", "ModelError", "ModelSpec", "generate",
            "model_constants", "resolve_thetas", "simple_model", "validate",
-           "BOUNDARY_TOL", "NORTH_POLE", "SOUTH_POLE", "DegenerateCapError",
-           "DuplicatePointError", "PointSet", "SphericalCap", "UnitVec", "cap_area",
-           "chord_distance", "circumcap", "count_in_cap", "pair_diametral_cap",
-           "spiral_points", "MEAN_CHORD", "STOLARSKY_CONSTANT", "CoveringRadius",
-           "MetricsReport", "SupDiscrepancy", "compute_metrics", "covering_radius",
-           "equatorial_discrepancy", "l2_discrepancy_quadrature",
-           "l2_discrepancy_stolarsky", "log_energy", "mean_chord_monte_carlo",
-           "mesh_ratio", "polar_cap_profile", "riesz_energy", "separation",
+           "BOUNDARY_TOL", "NORTH_POLE", "SOUTH_POLE", "DuplicatePointError", "PointSet",
+           "SphericalCap", "UnitVec", "count_in_cap", "spiral_points", "MEAN_CHORD",
+           "STOLARSKY_CONSTANT", "CoveringRadius", "MetricsReport", "SupDiscrepancy",
+           "compute_metrics", "covering_radius", "equatorial_discrepancy",
+           "l2_discrepancy_quadrature", "l2_discrepancy_stolarsky", "log_energy",
+           "polar_cap_profile", "riesz_energy", "separation",
            "stolarsky_constant_estimate", "sum_distances", "sup_discrepancy_estimate",
            "sup_discrepancy_exact", "MatchingReport", "Partition", "Region",
            "SideLengths", "VerificationFailure", "build_partition", "certify",

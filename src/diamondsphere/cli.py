@@ -241,7 +241,7 @@ def cmd_discrepancy(args) -> int:
     code = 0
 
     if args.mode == "polar":
-        prof = polar_cap_profile(model, points)
+        prof = polar_cap_profile(model)
         out["profile"] = [
             {"j": j, "exact": str(v), "value": float(v)}
             for j, v in zip(prof.j, prof.exact)
@@ -305,7 +305,7 @@ def cmd_plot(args) -> int:
             sup = sup_discrepancy_estimate(points, n_samples=args.samples,
                                            seed=args.seed)
             sup_vals.append(math.sqrt(model.N) * sup.value)
-            prof = polar_cap_profile(model, points)
+            prof = polar_cap_profile(model)
             polar_vals.append(math.sqrt(model.N) * float(prof.max_exact))
         svg = plotting.svg_scaling(
             ns,

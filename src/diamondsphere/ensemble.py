@@ -14,6 +14,7 @@ floats only appear in generated coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,24 +181,11 @@ class DiamondModel:
     def is_simple(self) -> bool:
         return self.spec.is_simple
 
-    @property
-    def z(self) -> np.ndarray:
-        return np.array([float(v) for v in self.z_exact])
-
-    def r_at(self, j: int) -> int:
-        """Points on parallel j, 1 <= j <= p."""
-        if not 1 <= j <= self.p:
-            raise IndexError(f"parallel index {j} outside 1..{self.p}")
-        return self.r[j - 1]
-
     def partial_count(self, j: int) -> int:
         """N_j = 1 + sum of r_k over k < j, for 1 <= j <= p + 1."""
         if not 1 <= j <= self.p + 1:
             raise IndexError(f"partial-count index {j} outside 1..{self.p + 1}")
         return self.n_partial[j - 1]
-
-    def height_z(self, j: int) -> float:
-        return float(self.height_z_exact(j))
 
     def height_z_exact(self, j: int) -> Fraction:
         if not 1 <= j <= self.p:
@@ -266,27 +254,22 @@ def validate(spec: ModelSpec) -> DiamondModel:
     assert r == r[::-1]
 
     N = 2 + sum(r)
-    n_partial = []
-    acc = 1
-    for j in range(p + 1):
-        n_partial.append(acc)
-        if j < p:
-            acc += r[j]
+    n_partial = tuple(itertools.accumulate(r, initial=1))
     assert n_partial[-1] == N - 1
 
-    z_exact = []
+    # z_j = num_j / (N - 1), num_j = N - 2 - r_j - 2 sum_{k<j} r_k, must equal
+    # the partial-count form, decrease strictly, be antisymmetric and lie in
+    # (-(N - 1), N - 1); integers make these checks cheap.
+    num = []
     below = 0  # sum of r_k for k < j
-    for j in range(1, p + 1):
-        z = 1 - Fraction(1 + r[j - 1] + 2 * below, N - 1)
-        z_exact.append(z)
-        below += r[j - 1]
-    # Same heights via the partial-count form; both must agree exactly.
-    for j in range(1, p + 1):
-        alt = 1 - Fraction(2 * n_partial[j - 1], N - 1) - Fraction(r[j - 1] - 1, N - 1)
-        assert alt == z_exact[j - 1]
-    assert all(z_exact[j] > z_exact[j + 1] for j in range(p - 1))
-    assert all(z_exact[j - 1] == -z_exact[p - j] for j in range(1, p + 1))
-    assert Fraction(1) > z_exact[0] and z_exact[-1] > Fraction(-1)
+    for rj in r:
+        num.append(N - 2 - rj - 2 * below)
+        below += rj
+    assert all(v == N - 1 - 2 * nj - (rj - 1) for v, rj, nj in zip(num, r, n_partial))
+    assert all(a > b for a, b in zip(num, num[1:]))
+    assert num == [-v for v in reversed(num)]
+    assert N - 1 > num[0] and num[-1] > 1 - N
+    z_exact = tuple(Fraction(v, N - 1) for v in num)
 
     thetas = resolve_thetas(spec.theta_policy, p)
     thetas.setflags(write=False)
@@ -296,8 +279,8 @@ def validate(spec: ModelSpec) -> DiamondModel:
         p=p,
         r=r,
         N=N,
-        n_partial=tuple(n_partial),
-        z_exact=tuple(z_exact),
+        n_partial=n_partial,
+        z_exact=z_exact,
         theta=thetas,
     )
 

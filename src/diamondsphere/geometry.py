@@ -1,4 +1,4 @@
-"""Spherical primitives: unit vectors, caps, cap counting and test grids.
+"""Spherical primitives: unit vectors, caps, cap counting and the spiral grid.
 
 Conventions used throughout the package:
 
@@ -25,8 +25,8 @@ import numpy as np
 # enough never to capture a second parallel.
 BOUNDARY_TOL = 1e-10
 
-# Cross products with norm at or below this are treated as degenerate
-# (coincident or numerically collinear inputs).
+# Vectors, pair sums and cross products with norm at or below this are
+# treated as degenerate (coincident, antipodal or collinear inputs).
 DEGENERATE_TOL = 1e-12
 
 # |x|^2 must match 1 to this tolerance for a vector to count as "unit".
@@ -34,10 +34,6 @@ UNIT_NORM_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
 SPHERE_AREA = 4.0 * math.pi
-
-
-class DegenerateCapError(ValueError):
-    """Raised when a cap through given points is not uniquely determined."""
 
 
 class DuplicatePointError(ValueError):
@@ -75,17 +71,6 @@ class UnitVec:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-    def dot(self, other: "UnitVec") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def antipode(self) -> "UnitVec":
-        return UnitVec(-self.x, -self.y, -self.z)
-
-    @property
-    def phi(self) -> float:
-        """Longitude in [0, 2*pi)."""
-        return math.atan2(self.y, self.x) % TWO_PI
 
 
 NORTH_POLE = UnitVec(0.0, 0.0, 1.0)
@@ -149,26 +134,11 @@ class PointSet:
     def has_provenance(self) -> bool:
         return self.parallel is not None and self.index_in_parallel is not None
 
-    def point(self, i: int) -> UnitVec:
-        x, y, z = self.coords[i]
-        return UnitVec.normalized(float(x), float(y), float(z))
-
 
 def _as_coords(points) -> np.ndarray:
     if isinstance(points, PointSet):
         return points.coords
     return np.ascontiguousarray(points, dtype=float)
-
-
-def chord_distance(a: UnitVec, b: UnitVec) -> float:
-    """Euclidean (chordal) distance between two sphere points."""
-    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def cap_area(cap: SphericalCap) -> float:
-    """Surface area 2*pi*(1 - t) of a cap of height t."""
-    return TWO_PI * (1.0 - cap.t)
 
 
 def count_in_cap(points, cap: SphericalCap, mode: str = "closed") -> int:
@@ -185,42 +155,6 @@ def count_in_cap(points, cap: SphericalCap, mode: str = "closed") -> int:
     if mode == "open":
         return int(np.count_nonzero(dots > cap.t + BOUNDARY_TOL))
     raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
-
-
-def circumcap(a: UnitVec, b: UnitVec, c: UnitVec) -> SphericalCap:
-    """The cap whose boundary circle passes through three given points.
-
-    The center is the normalized cross product (b - a) x (c - a); the
-    antipodal center gives the complementary cap.  Raises
-    DegenerateCapError when the three points do not determine a circle
-    (coincident or numerically collinear inputs).
-    """
-    av, bv, cv = a.as_array(), b.as_array(), c.as_array()
-    n = np.cross(bv - av, cv - av)
-    nn = float(np.linalg.norm(n))
-    if nn <= DEGENERATE_TOL:
-        raise DegenerateCapError("triple does not span a circle")
-    center = UnitVec(*(n / nn))
-    t = max(-1.0, min(1.0, center.dot(a)))
-    return SphericalCap(center, t)
-
-
-def pair_diametral_cap(a: UnitVec, b: UnitVec) -> SphericalCap:
-    """The cap on whose boundary a and b sit diametrically opposite.
-
-    Its center is the normalized midpoint of a and b.  Raises
-    DegenerateCapError for coincident inputs (no unique cap) and
-    antipodal inputs (center undefined).
-    """
-    if chord_distance(a, b) <= DEGENERATE_TOL:
-        raise DegenerateCapError("points coincide; diametral cap not unique")
-    sx, sy, sz = a.x + b.x, a.y + b.y, a.z + b.z
-    n = math.sqrt(sx * sx + sy * sy + sz * sz)
-    if n <= DEGENERATE_TOL:
-        raise DegenerateCapError("points are antipodal; diametral cap undefined")
-    center = UnitVec(sx / n, sy / n, sz / n)
-    t = max(-1.0, min(1.0, center.dot(a)))
-    return SphericalCap(center, t)
 
 
 def spiral_points(k: int) -> np.ndarray:

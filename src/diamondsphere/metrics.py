@@ -157,7 +157,7 @@ def _range_blocks(lo: np.ndarray, hi: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# covering and mesh ratio
+# covering
 
 
 # sqrt(N) h of the first covering pass without a partition: the one-piece
@@ -301,14 +301,6 @@ def _covering_budget(work: int, what: str) -> None:
                          "the points lie in a hemisphere or leave a large hole")
 
 
-def mesh_ratio(points, partition: Partition | None = None) -> float:
-    """Covering-to-separation ratio: exact without a partition, an upper bound
-    from the partition's certified covering bound with one."""
-    rho = (covering_upper_bound(partition) if partition is not None
-           else covering_radius(points).estimate)
-    return rho / separation(points)
-
-
 # ---------------------------------------------------------------------------
 # pairwise energies
 
@@ -427,8 +419,8 @@ class PolarProfile:
     argmax_j: int
 
 
-def polar_cap_profile(model: DiamondModel, points: PointSet | None = None) -> PolarProfile:
-    """Exact cap discrepancy at heights z_1 .. z_M (points is not read)."""
+def polar_cap_profile(model: DiamondModel) -> PolarProfile:
+    """Exact cap discrepancy at heights z_1 .. z_M."""
     N = model.N
     js = tuple(range(1, model.M + 1))
     exact = [abs(Fraction(model.partial_count(j + 1), N) - (1 - model.height_z_exact(j)) / 2)
@@ -453,6 +445,9 @@ class EquatorialDiscrepancy:
 
 def equatorial_discrepancy(model: DiamondModel,
                            points: PointSet | None = None) -> EquatorialDiscrepancy:
+    """Discrepancy of the closed upper hemisphere: exact, since its boundary
+    (the equator) carries the r_M points that make the excess, and counted
+    on points, the model's own ensemble when None."""
     if points is None:
         points = generate(model)
     exact = Fraction(model.r[model.M - 1], 2 * model.N)
@@ -583,7 +578,7 @@ def _cap_centers(coords: np.ndarray):
     iu, ju = np.triu_indices(n, 1)
     mids = coords[iu] + coords[ju]
     norms = np.linalg.norm(mids, axis=1)
-    keep = norms > 1e-12
+    keep = norms > DEGENERATE_TOL
     mids = mids[keep] / norms[keep, None]
     yield from _blocked([mids, -mids], 8192)
     combos = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
@@ -592,7 +587,7 @@ def _cap_centers(coords: np.ndarray):
         a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
         normal = np.cross(b - a, c - a)
         norms = np.linalg.norm(normal, axis=1)
-        keep = norms > 1e-12
+        keep = norms > DEGENERATE_TOL
         normal = normal[keep] / norms[keep, None]
         yield normal
         yield -normal
@@ -665,22 +660,6 @@ def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
         rows.append(np.square(dots, out=dots).sum(axis=1))
     total = math.fsum(np.concatenate(rows)) / (4 * n * n_centers)
     return math.sqrt(total + 1.0 / (12 * n * n))
-
-
-def mean_chord_monte_carlo(n_pairs: int = 2_000_000, seed: int = 0) -> float:
-    """Monte Carlo oracle for the uniform mean chord distance (= 4/3)."""
-    rng = np.random.default_rng(seed)
-    parts = []
-    remaining = n_pairs
-    while remaining > 0:
-        m = min(remaining, 500_000)
-        x = rng.normal(size=(m, 3))
-        y = rng.normal(size=(m, 3))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        parts.append(float(np.sum(np.linalg.norm(x - y, axis=1))))
-        remaining -= m
-    return math.fsum(parts) / n_pairs
 
 
 def stolarsky_constant_estimate(points, n_centers: int = 20_000,
@@ -783,7 +762,7 @@ def compute_metrics(points: PointSet,
         rep.d_sup_witness_t = sup.witness.t
 
     if model is not None:
-        prof = polar_cap_profile(model, points)
+        prof = polar_cap_profile(model)
         rep.d_polar_profile = [[j, float(v)] for j, v in zip(prof.j, prof.exact)]
         rep.d_polar_max = float(prof.max_exact)
         rep.d_polar_max_exact = str(prof.max_exact)

@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .ensemble import DiamondModel, model_constants
-from .geometry import SPHERE_AREA, TWO_PI, PointSet, UnitVec
+from .geometry import SPHERE_AREA, TWO_PI, PointSet
 
 
 class VerificationFailure(RuntimeError):
@@ -125,13 +125,9 @@ class Partition:
         self._theta_by_jp = np.array([c["theta"] for c in self._collars])
         self._first_region_by_jp = np.array(self._starts, dtype=np.int64)
 
-        # Height boundaries bottom-up for locate():
+        # Height boundaries bottom-up for locate_many():
         # -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
-        asc = [-1.0]
-        asc += [float(-v) for v in self.h_exact]
-        asc += [float(v) for v in reversed(self.h_exact)]
-        asc.append(1.0)
-        self._asc_bounds = np.array(asc)
+        self._asc_bounds = np.concatenate([[-1.0], -self.h, self.h[::-1], [1.0]])
         assert np.all(np.diff(self._asc_bounds) > 0)
 
     # -- region materialization -------------------------------------------
@@ -171,30 +167,8 @@ class Partition:
 
     # -- point/region matching --------------------------------------------
 
-    def region_of_point(self, point_index: int) -> int:
-        """The region a generated point owns, by construction (exact)."""
-        N = self.model.N
-        if point_index == 0:
-            return 0
-        if point_index == N - 1:
-            return N - 1
-        if not 0 < point_index < N - 1:
-            raise IndexError(f"point index {point_index} outside 0..{N - 1}")
-        col = self._collars[bisect_right(self._point_firsts, point_index) - 1]
-        i = point_index - col["first_point"]
-        # Point i sits at the center of the cell one step back in the ring.
-        return col["first_region"] + (i - 1) % col["r"]
-
-    def locate(self, point) -> int:
-        """Region id containing an arbitrary unit vector (total function)."""
-        if isinstance(point, UnitVec):
-            coords = np.array([[point.x, point.y, point.z]])
-        else:
-            coords = np.asarray(point, dtype=float).reshape(1, 3)
-        return int(self.locate_many(coords)[0])
-
     def locate_many(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized locate; rows must be unit vectors."""
+        """Region id containing each row (a total function); rows must be unit vectors."""
         coords = np.asarray(coords, dtype=float)
         z = coords[:, 2]
         N = self.model.N
@@ -280,7 +254,7 @@ def polar_cap_radius(partition: Partition) -> float:
 
 @dataclass(frozen=True)
 class MatchingReport:
-    """Outcome of verify_matching: exact certificates plus float locate."""
+    """Outcome of verify_matching: exact certificates plus float location."""
 
     ok: bool
     interleaving_ok: bool
@@ -290,13 +264,13 @@ class MatchingReport:
 
 
 def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
-    """Certify that locate() is a bijection points <-> regions.
+    """Certify that locate_many() is a bijection points <-> regions.
 
     Exact part: h_{j+1} < z_j < h_j for every parallel, in rational
     arithmetic, plus the integer statement that point i of a ring of r
     sits strictly inside cell (i - 1) mod r (points lie at even,
     boundaries at odd multiples of pi/r relative to theta, so no float
-    tie is possible).  Float part: locate() applied to the generated
+    tie is possible).  Float part: locate_many() applied to the generated
     coordinates must reproduce the exact matching.
     """
     model = partition.model

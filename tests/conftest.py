@@ -47,6 +47,22 @@ def random_unit_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def mean_chord_monte_carlo(n_pairs: int = 2_000_000, seed: int = 0) -> float:
+    """Monte Carlo oracle for the uniform mean chord distance (= 4/3)."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    remaining = n_pairs
+    while remaining > 0:
+        m = min(remaining, 500_000)
+        x = rng.normal(size=(m, 3))
+        y = rng.normal(size=(m, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        parts.append(float(np.sum(np.linalg.norm(x - y, axis=1))))
+        remaining -= m
+    return math.fsum(parts) / n_pairs
+
+
 def brute_force_separation(coords: np.ndarray) -> float:
     """Minimal chord distance over all pairs, in blocks of about 4e6 pairs.
 

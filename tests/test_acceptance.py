@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_random_spec, random_unit_points
+from conftest import make_random_spec, mean_chord_monte_carlo, random_unit_points
 from diamondsphere import (
     PointSet,
     build_partition,
@@ -21,7 +21,6 @@ from diamondsphere import (
     l2_discrepancy_quadrature,
     l2_discrepancy_stolarsky,
     log_energy,
-    mean_chord_monte_carlo,
     polar_cap_profile,
     region_area,
     region_area_fraction_exact,

@@ -1,0 +1,64 @@
+"""The public API: every exported name, and the scalar copies and thin
+wrappers that were removed because the vectorized kernels compute the same
+things.  Growing the API back needs an edit here."""
+
+import pytest
+
+import diamondsphere as ds
+from diamondsphere import ensemble, geometry, metrics, partition
+
+PUBLIC = [
+    "BOUNDARY_TOL", "CoveringRadius", "DiamondModel", "DuplicatePointError", "MEAN_CHORD",
+    "MatchingReport", "MetricsReport", "ModelConstants", "ModelError", "ModelSpec",
+    "NORTH_POLE", "Partition", "PointSet", "Region", "SOUTH_POLE", "STOLARSKY_CONSTANT",
+    "SideLengths", "SphericalCap", "SupDiscrepancy", "UnitVec", "VerificationFailure",
+    "build_partition", "certify", "compute_metrics", "count_in_cap", "covering_radius",
+    "covering_upper_bound", "equatorial_discrepancy", "generate",
+    "l2_discrepancy_quadrature", "l2_discrepancy_stolarsky", "log_energy",
+    "model_constants", "partition_records", "polar_cap_profile", "polar_cap_radius",
+    "region_area", "region_area_fraction_exact", "resolve_thetas", "riesz_energy",
+    "separation", "side_lengths", "simple_model", "spiral_points",
+    "stolarsky_constant_estimate", "sum_distances", "sup_discrepancy_estimate",
+    "sup_discrepancy_exact", "validate", "verify_matching",
+]
+
+REMOVED = [
+    (geometry, "DegenerateCapError"),
+    (geometry, "cap_area"),
+    (geometry, "chord_distance"),
+    (geometry, "circumcap"),
+    (geometry, "pair_diametral_cap"),
+    (metrics, "mean_chord_monte_carlo"),
+    (metrics, "mesh_ratio"),
+]
+
+REMOVED_METHODS = [
+    (geometry.PointSet, "point"),
+    (geometry.UnitVec, "dot"),
+    (geometry.UnitVec, "antipode"),
+    (geometry.UnitVec, "phi"),
+    (ensemble.DiamondModel, "r_at"),
+    (ensemble.DiamondModel, "height_z"),
+    (ensemble.DiamondModel, "z"),
+    (partition.Partition, "locate"),
+    (partition.Partition, "region_of_point"),
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(PUBLIC) == 50
+    assert sorted(ds.__all__) == PUBLIC
+    for name in ds.__all__:
+        assert hasattr(ds, name), name
+
+
+@pytest.mark.parametrize("module, name", REMOVED, ids=[n for _, n in REMOVED])
+def test_removed_names_stay_removed(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(ds, name)
+
+
+@pytest.mark.parametrize("cls, name", REMOVED_METHODS,
+                         ids=[f"{c.__name__}.{n}" for c, n in REMOVED_METHODS])
+def test_removed_methods_stay_removed(cls, name):
+    assert not hasattr(cls, name)

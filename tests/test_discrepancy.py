@@ -9,19 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_random_spec, random_unit_points
+from conftest import make_random_spec, mean_chord_monte_carlo, random_unit_points
 from diamondsphere import metrics
 from diamondsphere import (
     BOUNDARY_TOL,
     MEAN_CHORD,
     PointSet,
-    cap_area,
     count_in_cap,
     equatorial_discrepancy,
     generate,
     l2_discrepancy_quadrature,
     l2_discrepancy_stolarsky,
-    mean_chord_monte_carlo,
     polar_cap_profile,
     simple_model,
     spiral_points,
@@ -96,7 +94,7 @@ def test_polar_profile_closed_form_simple():
     for M in (1, 2, 3, 5, 9):
         model = validate(simple_model(M))
         pts = generate(model)
-        prof = polar_cap_profile(model, pts)
+        prof = polar_cap_profile(model)
         assert prof.closed_form is not None
         N = model.N
         for j, ex in zip(prof.j, prof.exact):
@@ -122,7 +120,7 @@ def test_polar_profile_counting_matches_general_models():
         model = validate(make_random_spec(rng, m_hi=10,
                                           theta_policy=f"seed:{k}"))
         pts = generate(model)
-        prof = polar_cap_profile(model, pts)
+        prof = polar_cap_profile(model)
         assert prof.closed_form is None or model.is_simple
         assert np.max(np.abs(polar_recount(model, pts) -
                              [float(v) for v in prof.exact])) < 1e-12
@@ -277,8 +275,6 @@ def test_cap_area_consistency_with_discrepancy_terms():
     from diamondsphere import SphericalCap, UnitVec
     cap = SphericalCap(UnitVec(0.0, 0.0, 1.0), 0.25)
     assert math.isclose(cap.area_fraction, (1.0 - 0.25) / 2.0, rel_tol=1e-15)
-    assert math.isclose(cap_area(cap) / (4.0 * math.pi), cap.area_fraction,
-                        rel_tol=1e-15)
 
 
 def test_l2_never_exceeds_sup(octahedron_points):

@@ -55,12 +55,9 @@ def test_heights_antisymmetric_decreasing_zero_at_equator():
 def test_height_accessors_match_exact():
     model = validate(simple_model(4))
     for j in range(1, model.p + 1):
-        assert model.height_z(j) == float(model.height_z_exact(j))
-        assert model.r_at(j) == model.r[j - 1]
+        assert float(model.z_exact[j - 1]) == float(model.height_z_exact(j))
     with pytest.raises(IndexError):
-        model.r_at(0)
-    with pytest.raises(IndexError):
-        model.height_z(model.p + 1)
+        model.height_z_exact(model.p + 1)
 
 
 def test_generate_octahedron_vertices():
@@ -85,7 +82,7 @@ def test_generate_layout_and_provenance():
         sel = pts.parallel == j
         assert int(sel.sum()) == model.r[j - 1]
         ring = pts.coords[sel]
-        assert np.allclose(ring[:, 2], model.height_z(j), atol=1e-15)
+        assert np.allclose(ring[:, 2], float(model.z_exact[j - 1]), atol=1e-15)
         phis = np.arctan2(ring[:, 1], ring[:, 0])
         want = model.theta[j - 1] + 2.0 * np.pi * np.arange(model.r[j - 1]) / model.r[j - 1]
         diff = (phis - want + np.pi) % (2.0 * np.pi) - np.pi

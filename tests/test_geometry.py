@@ -1,32 +1,40 @@
-"""Core primitives: unit vectors, caps, counting, candidate-cap builders."""
+"""Core primitives: unit vectors, caps, counting, the spiral grid, and the
+candidate cap centers that the sup and covering kernels build in
+metrics._cap_centers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import random_unit_points
 from diamondsphere import (
     NORTH_POLE,
     SOUTH_POLE,
-    DegenerateCapError,
     PointSet,
     SphericalCap,
     UnitVec,
-    cap_area,
-    chord_distance,
-    circumcap,
     count_in_cap,
-    pair_diametral_cap,
+    separation,
     spiral_points,
 )
+from diamondsphere.metrics import _cap_centers
+
+
+def candidate_centers(coords):
+    """_cap_centers' blocks for a small set: (points then antipodes,
+    [midpoints, their antipodes] or [] when none survive, [normals, their
+    antipodes] or [] for fewer than three points)."""
+    blocks = list(_cap_centers(np.asarray(coords, dtype=float)))
+    n_tri = 2 if len(coords) >= 3 else 0
+    return blocks[0], blocks[1:len(blocks) - n_tri], blocks[len(blocks) - n_tri:]
 
 
 def test_unitvec_normalized_and_antipode():
     v = UnitVec.normalized(3.0, 4.0, 0.0)
     assert math.isclose(v.x, 0.6, rel_tol=0, abs_tol=1e-15)
     assert math.isclose(v.y, 0.8, rel_tol=0, abs_tol=1e-15)
-    a = v.antipode()
-    assert (a.x, a.y, a.z) == (-v.x, -v.y, -v.z)
     assert math.isclose(np.linalg.norm(v.as_array()), 1.0, abs_tol=1e-15)
 
 
@@ -35,26 +43,16 @@ def test_unitvec_rejects_non_unit():
         UnitVec(1.0, 1.0, 1.0)
 
 
-def test_unitvec_phi_range():
-    assert UnitVec(1.0, 0.0, 0.0).phi == 0.0
-    assert math.isclose(UnitVec(0.0, -1.0, 0.0).phi, 1.5 * math.pi)
-    for k in range(8):
-        ang = 2.0 * math.pi * k / 8.0
-        v = UnitVec.normalized(math.cos(ang), math.sin(ang), 0.0)
-        assert math.isclose(v.phi, ang, abs_tol=1e-12)
-
-
 def test_chord_distance_octahedron_edges():
-    ex = UnitVec(1.0, 0.0, 0.0)
-    ey = UnitVec(0.0, 1.0, 0.0)
-    assert math.isclose(chord_distance(ex, ey), math.sqrt(2.0), rel_tol=1e-15)
-    assert math.isclose(chord_distance(ex, ex.antipode()), 2.0, rel_tol=1e-15)
-    assert chord_distance(ex, ex) == 0.0
+    ex = np.array([1.0, 0.0, 0.0])
+    ey = np.array([0.0, 1.0, 0.0])
+    assert math.isclose(separation(np.array([ex, ey])), math.sqrt(2.0), rel_tol=1e-15)
+    assert math.isclose(separation(np.array([ex, -ex])), 2.0, rel_tol=1e-15)
+    assert separation(np.array([ex, ex])) == 0.0
 
 
 def test_cap_area_closed_forms():
     hemisphere = SphericalCap(NORTH_POLE, 0.0)
-    assert math.isclose(cap_area(hemisphere), 2.0 * math.pi, rel_tol=1e-15)
     assert math.isclose(hemisphere.area_fraction, 0.5, rel_tol=1e-15)
     everything = SphericalCap(NORTH_POLE, -1.0)
     assert math.isclose(everything.area_fraction, 1.0, rel_tol=1e-15)
@@ -86,24 +84,22 @@ def test_count_in_cap_boundary_sides():
 
 
 def test_circumcap_orthonormal_triple():
-    a = UnitVec(1.0, 0.0, 0.0)
-    b = UnitVec(0.0, 1.0, 0.0)
-    c = UnitVec(0.0, 0.0, 1.0)
-    cap = circumcap(a, b, c)
+    a, b, c = np.eye(3)
+    _, _, normals = candidate_centers([a, b, c])
     t = 1.0 / math.sqrt(3.0)
-    for v in (a, b, c):
-        assert math.isclose(cap.center.dot(v), cap.t, abs_tol=1e-14)
-    assert math.isclose(abs(cap.t), t, abs_tol=1e-14)
+    for center in np.vstack(normals):
+        for v in (a, b, c):
+            assert math.isclose(center @ v, center @ a, abs_tol=1e-14)
+        assert math.isclose(abs(center @ a), t, abs_tol=1e-14)
 
 
 def test_circumcap_degenerate_and_great_circle():
-    a = UnitVec(1.0, 0.0, 0.0)
-    b = UnitVec(0.0, 1.0, 0.0)
-    with pytest.raises(DegenerateCapError):
-        circumcap(a, a, b)
+    a = np.array([1.0, 0.0, 0.0])
+    b = np.array([0.0, 1.0, 0.0])
+    assert all(len(block) == 0 for block in candidate_centers([a, a, b])[2])
     # Three points of a great circle are fine: a hemisphere cap.
-    cap = circumcap(a, b, a.antipode())
-    assert math.isclose(cap.t, 0.0, abs_tol=1e-15)
+    for center in np.vstack(candidate_centers([a, b, -a])[2]):
+        assert math.isclose(center @ a, 0.0, abs_tol=1e-15)
 
 
 def test_pair_diametral_cap_boundary():
@@ -111,16 +107,40 @@ def test_pair_diametral_cap_boundary():
     for _ in range(20):
         v = rng.standard_normal((2, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        a, b = UnitVec.from_array(v[0]), UnitVec.from_array(v[1])
-        cap = pair_diametral_cap(a, b)
-        assert math.isclose(cap.center.dot(a), cap.t, abs_tol=1e-12)
-        assert math.isclose(cap.center.dot(b), cap.t, abs_tol=1e-12)
+        _, (mid, _), _ = candidate_centers(v)
+        assert math.isclose(mid[0] @ v[0], mid[0] @ v[1], abs_tol=1e-12)
 
 
 def test_pair_diametral_cap_antipodal_degenerate():
-    a = UnitVec(0.0, 0.0, 1.0)
-    with pytest.raises(DegenerateCapError):
-        pair_diametral_cap(a, a.antipode())
+    a = np.array([0.0, 0.0, 1.0])
+    assert candidate_centers([a, -a])[1] == []
+
+
+def test_cap_centers_pass_through_their_points():
+    coords = random_unit_points(np.random.default_rng(11), 8)
+    points, (mids, anti_mids), (normals, anti_normals) = candidate_centers(coords)
+    assert np.array_equal(points, np.vstack([coords, -coords]))
+    pairs = list(itertools.combinations(range(8), 2))
+    triples = list(itertools.combinations(range(8), 3))
+    assert len(mids) == len(pairs) and len(normals) == len(triples)
+    assert np.array_equal(anti_mids, -mids) and np.array_equal(anti_normals, -normals)
+    for center, (i, j) in zip(mids, pairs):
+        assert math.isclose(np.linalg.norm(center), 1.0, abs_tol=1e-15)
+        assert math.isclose(center @ coords[i], center @ coords[j], abs_tol=1e-14)
+    for center, tri in zip(np.vstack([normals, anti_normals]), triples + triples):
+        assert math.isclose(np.linalg.norm(center), 1.0, abs_tol=1e-15)
+        dots = coords[list(tri)] @ center
+        assert np.ptp(dots) <= 1e-14
+
+
+def test_cap_centers_degenerate_inputs():
+    p, q = random_unit_points(np.random.default_rng(12), 2)
+    # An antipodal pair inside a triple: its circle is a great circle.
+    for center in np.vstack(candidate_centers([p, q, -p])[2]):
+        assert math.isclose(center @ p, 0.0, abs_tol=1e-14)
+        assert math.isclose(center @ q, 0.0, abs_tol=1e-14)
+    assert candidate_centers([p, -p])[1] == []
+    assert all(len(block) == 0 for block in candidate_centers([p, p, q])[2])
 
 
 def test_spiral_points_shape_and_spread():
@@ -144,8 +164,7 @@ def test_pointset_provenance_and_access():
     bare = PointSet(coords)
     assert len(bare) == 2
     assert not bare.has_provenance
-    v = bare.point(1)
-    assert (v.x, v.y, v.z) == (0.0, 0.0, -1.0)
+    assert tuple(bare.coords[1]) == (0.0, 0.0, -1.0)
     tagged = PointSet(coords, parallel=np.array([0, 1]),
                       index_in_parallel=np.array([0, 0]))
     assert tagged.has_provenance
@@ -158,5 +177,5 @@ def test_pointset_rejects_non_finite_rows(bad):
 
 
 def test_poles_are_unit_antipodes():
-    assert NORTH_POLE.dot(SOUTH_POLE) == -1.0
-    assert chord_distance(NORTH_POLE, SOUTH_POLE) == 2.0
+    assert NORTH_POLE.as_array() @ SOUTH_POLE.as_array() == -1.0
+    assert separation(np.array([NORTH_POLE.as_array(), SOUTH_POLE.as_array()])) == 2.0

@@ -15,7 +15,6 @@ from diamondsphere import (
     covering_upper_bound,
     generate,
     log_energy,
-    mesh_ratio,
     riesz_energy,
     separation,
     simple_model,
@@ -113,7 +112,8 @@ def test_covering_octahedron(octahedron, octahedron_points):
     assert cov.estimate <= rho + 1e-12
     assert cov.estimate > rho - 1e-3
     assert cov.upper_bound >= rho - 1e-12
-    assert mesh_ratio(octahedron_points, partition=part) == \
+    assert compute_metrics(octahedron_points, None, part, energies=False,
+                           sup_mode=None).mesh_ratio == \
         pytest.approx(cov.upper_bound / math.sqrt(2.0), rel=1e-12)
 
 
@@ -177,7 +177,7 @@ def test_small_sets_separation_covering_mesh():
     assert separation(pair) == 2.0
     assert riesz_energy(pair, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert sum_distances(pair) == pytest.approx(4.0, abs=1e-15)
-    gamma = mesh_ratio(pair)
+    gamma = compute_metrics(pair, energies=False, sup_mode=None).mesh_ratio_estimate
     # farthest locations sit on the equator, chord sqrt(2) to either pole
     assert abs(gamma - math.sqrt(0.5)) < 2e-3
     assert gamma > 0.0

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import make_random_spec, random_unit_points
 from diamondsphere import (
-    UnitVec,
     build_partition,
     covering_upper_bound,
     generate,
@@ -62,12 +61,12 @@ def test_region_height_ownership_upper_edge_closed(simple_suite):
     inside_first_cell = part.region(1)
     phi = (inside_first_cell.phi_lo + inside_first_cell.phi_hi) / 2.0
     at_roof = [s * math.cos(phi), s * math.sin(phi), h1]
-    rid = part.locate(np.array(at_roof) / np.linalg.norm(at_roof))
+    rid = part.locate_many(np.array([at_roof]) / np.linalg.norm(at_roof))[0]
     assert part.region(rid).kind == "rect"
     assert part.region(rid).h_hi_exact == part.h_exact[0]
     # Slightly above the roof lies the cap.
     above = [s * math.cos(phi), s * math.sin(phi), h1 + 1e-9]
-    rid_up = part.locate(np.array(above) / np.linalg.norm(above))
+    rid_up = part.locate_many(np.array([above]) / np.linalg.norm(above))[0]
     assert rid_up == 0
 
 
@@ -81,10 +80,10 @@ def test_region_phi_ownership_low_edge_closed(simple_suite):
     w = h_mid * math.sqrt(2.0) / math.sqrt(1.0 - h_mid * h_mid)
     on_lo = np.array([1.0, 1.0, w])
     on_lo /= np.linalg.norm(on_lo)
-    assert part.locate(on_lo) == reg.region_id
+    assert part.locate_many(on_lo[None])[0] == reg.region_id
     just_below = np.array([1.0 + 1e-9, 1.0, w])
     just_below /= np.linalg.norm(just_below)
-    assert part.locate(just_below) != reg.region_id
+    assert part.locate_many(just_below[None])[0] != reg.region_id
 
 
 def test_locate_total_on_random_directions(simple_suite):
@@ -93,10 +92,10 @@ def test_locate_total_on_random_directions(simple_suite):
     probes = random_unit_points(rng, 4000)
     ids = part.locate_many(probes)
     assert ids.min() >= 0 and ids.max() <= model.N - 1
-    loop = [part.locate(probes[i]) for i in range(0, 4000, 191)]
+    loop = [part.locate_many(probes[i][None])[0] for i in range(0, 4000, 191)]
     assert np.array_equal(ids[::191], loop)
-    assert part.locate(UnitVec(0.0, 0.0, 1.0)) == 0
-    assert part.locate(UnitVec(0.0, 0.0, -1.0)) == model.N - 1
+    assert part.locate_many(np.array([[0.0, 0.0, 1.0]]))[0] == 0
+    assert part.locate_many(np.array([[0.0, 0.0, -1.0]]))[0] == model.N - 1
 
 
 def test_matching_is_bijection(simple_suite):
@@ -129,7 +128,8 @@ def test_interleaving_reads_the_collar_heights():
 
 
 def test_matching_convention_point_vs_region(simple_suite):
-    model, _, part = simple_suite[2]
+    model, points, part = simple_suite[2]
+    point_to_region = verify_matching(part, points).point_to_region
     # Within a ring of r cells, region i holds point (i + 1) mod r, so
     # point i's home is one cell back.
     for col in part.collars:
@@ -137,7 +137,7 @@ def test_matching_convention_point_vs_region(simple_suite):
         for i in range(r):
             reg = part.region(col["first_region"] + i)
             assert reg.matched_point == col["first_point"] + (i + 1) % r
-            home = part.region_of_point(col["first_point"] + i)
+            home = point_to_region[col["first_point"] + i]
             assert home == col["first_region"] + (i - 1) % r
 
 
@@ -213,8 +213,6 @@ def test_region_index_errors(simple_suite):
     model, _, part = simple_suite[2]
     with pytest.raises(IndexError):
         part.region(model.N)
-    with pytest.raises(IndexError):
-        part.region_of_point(-1)
 
 
 def test_region_areas_sum_to_sphere(simple_suite):

@@ -49,47 +49,42 @@ from .partition import (
 from . import plotting
 
 CSV_HEADER = ["index", "parallel", "i", "x", "y", "z", "phi", "z_height"]
-
-
-def _g17(v: float) -> str:
-    return f"{v:.17g}"
+_CSV_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+_CSV_DTYPE = [(name, np.int64 if name in ("index", "parallel", "i") else float)
+              for name in CSV_HEADER]
 
 
 def write_points_csv(path: str, points: PointSet) -> None:
-    lines = [",".join(CSV_HEADER)]
-    coords = points.coords
-    for k in range(len(points)):
-        x, y, z = coords[k]
-        phi = math.atan2(y, x) % TWO_PI
-        lines.append(",".join([
-            str(k), str(int(points.parallel[k])), str(int(points.index_in_parallel[k])),
-            _g17(x), _g17(y), _g17(z), _g17(phi), _g17(z),
-        ]))
+    x, y, z = points.coords.T.tolist()
+    phi = [math.atan2(b, a) % TWO_PI for a, b in zip(x, y)]
+    rows = zip(range(len(points)), points.parallel.tolist(), points.index_in_parallel.tolist(),
+               x, y, z, phi, z)
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join([",".join(CSV_HEADER), *(_CSV_ROW % row for row in rows)]) + "\n")
 
 
 def read_points_csv(path: str) -> PointSet:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path} is empty: no CSV header")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        rows = list(reader)
-    coords = np.empty((len(rows), 3))
-    parallel = np.empty(len(rows), dtype=np.int64)
-    index_in = np.empty(len(rows), dtype=np.int64)
-    for k, row in enumerate(rows):
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"row {k} has {len(row)} fields, want {len(CSV_HEADER)}")
-        if int(row[0]) != k:
-            raise ValueError(f"row {k} has index {row[0]}")
-        parallel[k] = int(row[1])
-        index_in[k] = int(row[2])
-        coords[k] = [float(row[3]), float(row[4]), float(row[5])]
-    return PointSet(coords, parallel=parallel, index_in_parallel=index_in)
+    with open(path) as f:
+        lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path} is empty: no CSV header")
+    header = next(csv.reader(lines[:1]))
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    rows = lines[1:]
+    for k, line in enumerate(rows):
+        fields = line.count(",") + 1 if line else 0
+        if fields != len(CSV_HEADER):
+            raise ValueError(f"row {k} has {fields} fields, want {len(CSV_HEADER)}")
+    table = np.loadtxt(rows, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"',
+                       ndmin=1) if rows else np.empty(0, _CSV_DTYPE)
+    bad = np.flatnonzero(table["index"] != np.arange(len(rows)))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} has index {rows[bad[0]].split(',', 1)[0]}")
+    coords = np.column_stack([table["x"], table["y"], table["z"]])
+    return PointSet(coords, parallel=table["parallel"], index_in_parallel=table["i"])
 
 
 def _dump_json(obj, path: str | None) -> None:

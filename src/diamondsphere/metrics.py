@@ -192,14 +192,17 @@ def covering_radius(points, partition: Partition | None = None) -> CoveringRadiu
     points not yet closed in by found triangles start triples.  h starts at
     twice the partition's bound, which only seeds the search, or at
     _COVERING_START/sqrt(N).  Sets in a closed hemisphere (N <= 3 among them)
-    take sup_discrepancy_exact's centers; ValueError past _COVERING_MAX_WORK.
+    take sup_discrepancy_exact's centers, at once when every x_i . sum(x) > 0;
+    ValueError past _COVERING_MAX_WORK.
     """
     coords = np.unique(_as_coords(points), axis=0)
     if not len(coords) or not np.isfinite(coords).all():
         raise ValueError("covering radius needs at least one point, all finite")
     upper = covering_upper_bound(partition) if partition is not None else 2.0
     h = 2.0 * upper if partition is not None else _COVERING_START / math.sqrt(len(coords))
-    tau = _facet_offset(coords, h) if len(coords) >= 4 else None
+    # No facet search can close in a set inside the open hemisphere about its sum.
+    in_hemisphere = (coords @ coords.sum(axis=0)).min() > 0.0
+    tau = _facet_offset(coords, h) if len(coords) >= 4 and not in_hemisphere else None
     if tau is None:
         tau = _exhaustive_offset(coords)
     return CoveringRadius(math.sqrt(max(0.0, 2.0 - 2.0 * tau)), upper)

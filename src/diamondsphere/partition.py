@@ -1,13 +1,15 @@
 """Equal-area partition companion to a generated model.
 
 The sphere splits into two polar caps and, per parallel, a ring of
-congruent "rectangles" in longitude/height coordinates.  Boundary
-heights follow the exact recurrence h_1 = 1 - 2/N,
-h_{j+1} = h_j - 2 r_j / N, equivalently h_j = 1 - 2 N_j / N, so every
-region has area exactly 4*pi/N and parallel j is strictly interior to
-its collar: h_{j+1} < z_j < h_j.  All of that is certified in rational
-arithmetic; floats only enter when locating arbitrary points.
-``certify`` runs every check that the ``verify`` command reports.
+congruent "rectangles" in longitude/height coordinates.  Every boundary
+height comes from one formula, b_k = 1 - 2 N_k / N for k = 1..p + 1,
+through the equator too (b_{2M+1-k} = -b_k; the defining heights
+h_j = b_j, j <= M).  Ring j spans (b_{j+1}, b_j] and holds r_j cells,
+so every region has area exactly 4*pi/N, and parallel j is strictly
+interior to its ring: b_{j+1} < z_j < b_j.  All of that is certified in
+rational arithmetic; floats only enter when locating arbitrary points.
+``certify`` runs every check that the ``verify`` command reports, and
+``partition_records`` builds the records ring by ring.
 
 Region ownership conventions (fixed for the whole package):
 
@@ -82,52 +84,24 @@ class Partition:
 
     def __init__(self, model: DiamondModel):
         self.model = model
-        N = model.N
-        M = model.M
+        M, nk = model.M, model.n_partial
+        # Boundary k at b_k = 1 - 2 N_k / N, k = 1..p + 1; ring j spans
+        # (b_{j+1}, b_j], the north cap ends at b_1, the south cap at b_{p+1}.
+        b = [1 - Fraction(2 * n, model.N) for n in nk]
+        self.h_exact: tuple[Fraction, ...] = tuple(b[:M])
+        self.h = np.array([float(v) for v in self.h_exact])
+        # Ring descriptors in region-id order; a ring's first region id and
+        # first point index are both N_j.
+        self._collars: list[dict] = [
+            {"jp": j, "r": model.r[j - 1], "theta": float(model.theta[j - 1]),
+             "h_hi": b[j - 1], "h_lo": b[j], "first_region": nk[j - 1], "first_point": nk[j - 1]}
+            for j in range(1, model.p + 1)
+        ]
+        self.n_regions = model.N
 
-        h: list[Fraction] = [1 - Fraction(2, N)]
-        for j in range(1, M):
-            h.append(h[-1] - Fraction(2 * model.r[j - 1], N))
-        # The closed form h_j = 1 - 2 N_j / N must reproduce the recurrence.
-        for j in range(1, M + 1):
-            assert h[j - 1] == 1 - Fraction(2 * model.partial_count(j), N)
-        assert h[M - 1] == Fraction(model.r[M - 1], N) > 0
-        self.h_exact: tuple[Fraction, ...] = tuple(h)
-        self.h = np.array([float(v) for v in h])
-
-        # Collars in region-id order: north cap (region 0), one ring per
-        # parallel top to bottom, south cap (region N - 1).  Collar M spans
-        # the equator; the mirror parallel 2M - j reuses collar heights of
-        # j, negated, and brings its own rotation offset.
-        self._collars: list[dict] = []
-        rid = 1
-        for jp in range(1, model.p + 1):
-            j = min(jp, 2 * M - jp)
-            upper, lower = h[j - 1], (h[j] if j < M else -h[M - 1])
-            if jp > M:
-                upper, lower = -lower, -upper
-            self._collars.append({
-                "jp": jp,
-                "r": model.r[jp - 1],
-                "theta": float(model.theta[jp - 1]),
-                "h_hi": upper,
-                "h_lo": lower,
-                "first_region": rid,
-                "first_point": model.partial_count(jp),
-            })
-            rid += model.r[jp - 1]
-        assert rid == N - 1
-        self.n_regions = N
-        self._starts = [c["first_region"] for c in self._collars]
-        self._point_firsts = [c["first_point"] for c in self._collars]
-        # Per-parallel gather tables so locate_many is O(len(coords)).
-        self._r_by_jp = np.array([c["r"] for c in self._collars], dtype=np.int64)
-        self._theta_by_jp = np.array([c["theta"] for c in self._collars])
-        self._first_region_by_jp = np.array(self._starts, dtype=np.int64)
-
-        # Height boundaries bottom-up for locate_many():
-        # -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
-        self._asc_bounds = np.concatenate([[-1.0], -self.h, self.h[::-1], [1.0]])
+        # Height boundaries bottom-up for locate_many(); the symmetry of r
+        # makes b_{2M+1-k} = -b_k: -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
+        self._asc_bounds = np.array([-1.0, *(float(v) for v in reversed(b)), 1.0])
         assert np.all(np.diff(self._asc_bounds) > 0)
 
     # -- region materialization -------------------------------------------
@@ -143,7 +117,7 @@ class Partition:
                           -1.0, float(-h1), Fraction(-1), -h1, N - 1)
         if not 0 < region_id < N - 1:
             raise IndexError(f"region id {region_id} outside 0..{N - 1}")
-        col = self._collars[bisect_right(self._starts, region_id) - 1]
+        col = self._collars[bisect_right(self.model.n_partial, region_id) - 1]
         i = region_id - col["first_region"]
         r = col["r"]
         phi_lo = _phi_lo(col, i)
@@ -186,12 +160,12 @@ class Partition:
         rect = ~(south_cap | north_cap)
         if np.any(rect):
             phi = np.arctan2(coords[rect, 1], coords[rect, 0]) % TWO_PI
-            jp = 2 * M - band[rect]  # band M is the equator ring, jp = M
-            r = self._r_by_jp[jp - 1]
-            theta = self._theta_by_jp[jp - 1]
+            ring = 2 * M - 1 - band[rect]  # band M is the equator ring, j = M
+            r = np.array(self.model.r)[ring]
+            theta = self.model.theta[ring]
             frac = (phi - theta - math.pi / r) * r / TWO_PI
             i = np.floor(frac).astype(np.int64) % r
-            out[rect] = self._first_region_by_jp[jp - 1] + i
+            out[rect] = np.array(self.model.n_partial)[ring] + i
         return out
 
 
@@ -287,14 +261,11 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
         return MatchingReport(False, interleaving_ok, False,
                               np.empty(0, dtype=np.int64), tuple(failures))
 
+    # Point k of the ring with first point and first region N_j lies in
+    # region N_j + (k - N_j - 1) mod r_j.
     N = model.N
-    firsts = np.array(partition._point_firsts, dtype=np.int64)
-    interior = np.arange(1, N - 1)
-    ci = np.searchsorted(firsts, interior, side="right") - 1
-    expected = np.empty(N, dtype=np.int64)
-    expected[0], expected[-1] = 0, N - 1
-    expected[1:-1] = (partition._first_region_by_jp[ci]
-                      + (interior - firsts[ci] - 1) % partition._r_by_jp[ci])
+    first, r = np.repeat(model.n_partial[:-1], model.r), np.repeat(model.r, model.r)
+    expected = np.concatenate([[0], first + (np.arange(1, N - 1) - first - 1) % r, [N - 1]])
     located = partition.locate_many(points.coords)
     mism = np.nonzero(located != expected)[0]
     for idx in mism[:8]:
@@ -349,7 +320,7 @@ def certify(partition: Partition, points: PointSet) -> str:
     model = partition.model
     n = model.N
     area_f = SPHERE_AREA / n
-    for rid in (0, *partition._starts, n - 1):
+    for rid in (0, *model.n_partial[:-1], n - 1):
         region = partition.region(rid)
         if region_area_fraction_exact(partition, region) != Fraction(1, n):
             raise VerificationFailure(f"region {rid} area fraction is not 1/N")
@@ -436,6 +407,26 @@ def covering_upper_bound(partition: Partition) -> float:
 
 
 def partition_records(partition: Partition) -> list[dict]:
-    """Flat serializable description of every region, in region-id order."""
-    return [{**vars(reg), "h_lo_exact": str(reg.h_lo_exact), "h_hi_exact": str(reg.h_hi_exact)}
-            for reg in partition]
+    """Flat serializable description of every region, in region-id order.
+
+    The cells of a ring differ from its first cell only in their id, i,
+    longitudes and matched point, so each ring takes one region() call.
+    """
+    model = partition.model
+    records = []
+    for rid in (0, *model.n_partial[:-1], model.N - 1):
+        reg = partition.region(rid)
+        base = {**vars(reg), "h_lo_exact": str(reg.h_lo_exact), "h_hi_exact": str(reg.h_hi_exact)}
+        if reg.kind != "rect":
+            records.append(base)
+            continue
+        col = partition._collars[reg.j - 1]
+        r = col["r"]
+        i = np.arange(r)
+        phi_lo = _phi_lo(col, i)
+        records.extend(
+            {**base, "region_id": rid + k, "i": k, "phi_lo": lo, "phi_hi": hi, "matched_point": m}
+            for k, lo, hi, m in zip(range(r), phi_lo.tolist(), (phi_lo + TWO_PI / r).tolist(),
+                                    (col["first_point"] + (i + 1) % r).tolist())
+        )
+    return records

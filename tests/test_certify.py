@@ -15,6 +15,7 @@ from diamondsphere import (
     certify,
     generate,
     model_constants,
+    partition_records,
     region_area,
     region_area_fraction_exact,
     simple_model,
@@ -108,6 +109,14 @@ def test_vectorized_float_areas_equal_region_area(model):
             region = part.region(col["first_region"] + i)
             assert phi_lo[i] == region.phi_lo
             assert areas[i] == region_area(region)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_ring_records_equal_per_cell_records(model):
+    part = build_partition(model)
+    per_cell = [{**vars(reg), "h_lo_exact": str(reg.h_lo_exact),
+                 "h_hi_exact": str(reg.h_hi_exact)} for reg in part]
+    assert partition_records(part) == per_cell
 
 
 @pytest.mark.parametrize("ring", [0, 3, -1], ids=["first", "fourth", "last"])

@@ -1,10 +1,12 @@
 """End-to-end command checks: files, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,6 +191,38 @@ def test_metrics_points_with_short_row_exits_2(tmp_path, capsys):
     assert "row 1 has 7 fields" in err
 
 
+def _edit_points_csv(tmp_path, capsys, edit) -> str:
+    pts = tmp_path / "pts.csv"
+    run(["gen", "--simple-M", "2", "-o", str(pts)], capsys)
+    lines = pts.read_text().splitlines()
+    pts.write_text("\n".join(edit(lines)) + "\n")
+    return str(pts)
+
+
+def _set_field(k: int, col: int, value: str):
+    def edit(lines):
+        fields = lines[k + 1].split(",")
+        fields[col] = value
+        lines[k + 1] = ",".join(fields)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_field(4, 0, "9"), "row 4 has index 9"),
+    (_set_field(4, 1, "1.5"), "'1.5'"),
+    (lambda lines: lines[:1], "coords must be a nonempty (N, 3) array"),
+], ids=["wrong-index", "non-integer-parallel", "header-only"])
+def test_malformed_points_csv_exits_2(edit, message, tmp_path, capsys):
+    pts = _edit_points_csv(tmp_path, capsys, edit)
+    for argv in (["metrics", "--points", pts], ["verify", "--simple-M", "2", "--points", pts]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end in exit 1
+            code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("payload", [
     [1, 2],
     {"M": 2, "n": 1, "t": 5, "alpha": [0], "beta": [4]},
@@ -332,3 +366,45 @@ def test_metrics_rejects_points_that_are_not_the_model_ensemble(tmp_path, capsys
     # Without a model the same file is measured as it is.
     code, out, _ = run(["metrics", "--points", str(pts), "--sup", "none"], capsys)
     assert code == 0 and json.loads(out)["covering_upper_bound"] == 2.0
+
+
+# sha256 of the structure outputs as the per-cell partition records and the
+# per-row CSV writer made them: gen CSV and sidecar, partition JSON (stdout)
+# and CSV, verify stdout.
+GOLDEN_SHA256 = {
+    "simple-9-seed3": {
+        "gen.csv": "e75666377d755fb8e396fef0d693ae267dc3734b85c34e4df6eab7a9bdbfc480",
+        "gen.json": "e73c5cdb9421c704f335b3a9ddf52ca28b4f343f89a724f72f573f463dec62af",
+        "partition.json": "5ffce7f4676afa32a9c7fefc646bd425266c8ed17962fd5f4c4bf9ac15f96d4f",
+        "partition.csv": "198dfe4ca33c0928132222d139256d969c2408f7503753e1379d6d790a9cd442",
+        "verify.txt": "7a3dcd46155faa47935067e57b3cf68400bcb05796f83a87bfe00d629ba0bfa9",
+    },
+    "two-piece": {
+        "gen.csv": "7cd9724c9b712b3ea12700fcb6e7cc820602615f596ee0af882feb0800bae9d1",
+        "gen.json": "0110d881809d2108205fa1f0ca327848db96ae818c05c4f6f7cf750936444ad6",
+        "partition.json": "b0a940a92bdfa6b5e8fb880268db263865758fc193860a316e24b354ed6b4826",
+        "partition.csv": "a1d0ea3f1b04fc90c204d52107ec20f4351c4cdd2d58b50e66e57e6ed9d688e4",
+        "verify.txt": "df44d45f146534799fc34ad636e6134e43e1cc0a4efa932958a1ef5adafaaf42",
+    },
+}
+
+
+@pytest.mark.parametrize("label", list(GOLDEN_SHA256))
+def test_structure_outputs_match_golden_digests(label, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    model = (["--simple-M", "9", "--theta", "seed:3"] if label == "simple-9-seed3"
+             else ["--model", _model_file(tmp_path)])
+    outputs = {}
+
+    def command(argv, *files):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        return out.encode(), *(Path(name).read_bytes() for name in files)
+
+    _, outputs["gen.csv"], outputs["gen.json"] = command(
+        ["gen", *model, "-o", "pts.csv", "--json", "meta.json"], "pts.csv", "meta.json")
+    outputs["partition.json"], = command(["partition", *model])
+    _, outputs["partition.csv"] = command(["partition", *model, "-o", "part.csv"], "part.csv")
+    outputs["verify.txt"], = command(["verify", *model])
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == GOLDEN_SHA256[label]

@@ -236,6 +236,26 @@ def test_large_hemisphere_set_stops_with_value_error():
         covering_radius(hemisphere_cluster(2000, 8))
 
 
+def _refuse_circumcaps(monkeypatch):
+    def refuse(coords, h, open_):
+        raise AssertionError("searched empty circumcaps")
+
+    monkeypatch.setattr(metrics, "_empty_circumcaps", refuse)
+
+
+def test_open_hemisphere_set_skips_the_facet_search(monkeypatch):
+    """x_i . sum(x) > 0 for every point: the exhaustive family gives the
+    value the facet search and its fallback gave."""
+    _refuse_circumcaps(monkeypatch)
+    assert covering_radius(hemisphere_cluster(15, 6)).estimate == 1.6172166195664965
+
+
+def test_large_open_hemisphere_set_fails_at_once(monkeypatch):
+    _refuse_circumcaps(monkeypatch)
+    with pytest.raises(ValueError, match="hemisphere"):
+        covering_radius(hemisphere_cluster(20000, 8))
+
+
 def test_rejects_empty_and_non_finite_input():
     with pytest.raises(ValueError):
         covering_radius(np.empty((0, 3)))

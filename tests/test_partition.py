@@ -251,3 +251,38 @@ def test_scaled_diameter_bounded_and_stable():
         assert scaled >= prev - 1e-9
         prev = scaled
     assert 6.2 < prev < limit
+
+
+def recurrence_collar_heights(model):
+    """(h_hi, h_lo) per ring from the recurrence the partition once used:
+    h_1 = 1 - 2/N, h_{j+1} = h_j - 2 r_j / N for j < M, the equator ring
+    down to -h_M, and ring 2M - j mirroring ring j with heights negated."""
+    N, M = model.N, model.M
+    h = [1 - Fraction(2, N)]
+    for j in range(1, M):
+        h.append(h[-1] - Fraction(2 * model.r[j - 1], N))
+    heights = []
+    for jp in range(1, model.p + 1):
+        j = min(jp, 2 * M - jp)
+        upper, lower = h[j - 1], (h[j] if j < M else -h[M - 1])
+        if jp > M:
+            upper, lower = -lower, -upper
+        heights.append((upper, lower))
+    return h, heights
+
+
+def _reference_models():
+    rng = np.random.default_rng(8)
+    return ([validate(simple_model(M)) for M in range(1, 61)]
+            + [validate(make_random_spec(rng, m_lo=1, m_hi=40)) for _ in range(300)])
+
+
+def test_boundary_formula_equals_the_recurrence_and_mirror_rule():
+    for model in _reference_models():
+        part = build_partition(model)
+        h, heights = recurrence_collar_heights(model)
+        assert part.h_exact == tuple(h)
+        assert [(c["h_hi"], c["h_lo"]) for c in part.collars] == heights
+        hf = np.array([float(v) for v in h])
+        want = np.concatenate([[-1.0], -hf, hf[::-1], [1.0]])
+        assert part._asc_bounds.tobytes() == want.tobytes()

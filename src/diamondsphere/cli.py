@@ -108,15 +108,23 @@ def _add_model_args(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def _parse_theta(raw: str):
-    if raw in ("zeros",) or raw.startswith("seed:"):
+    """Angles if every comma field is a float, else a policy for resolve_thetas."""
+    try:
+        return tuple(float(v) for v in raw.split(","))
+    except ValueError:
         return raw
-    return [float(v) for v in raw.split(",")]
+
+
+def _count(least: int):
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    return count
 
 
 def _resolve_model(args) -> DiamondModel | None:
     theta = _parse_theta(args.theta)
-    if isinstance(theta, list):
-        theta = tuple(theta)
     if args.simple_M is not None:
         return validate(simple_model(args.simple_M, theta_policy=theta))
     if args.model is not None:
@@ -213,16 +221,14 @@ def cmd_metrics(args) -> int:
     else:
         raise ValueError("need --points or a model")
     part = build_partition(model) if model is not None else None
-    sup_mode = None if args.sup == "none" else args.sup
     report = compute_metrics(
         points, model, part,
         riesz_s=tuple(float(s) for s in args.riesz_s.split(",")) if args.riesz_s else (),
         energies=not args.no_energies,
-        sup_mode=sup_mode,
+        sup_mode=None if args.sup == "none" else args.sup,
         sup_samples=args.samples,
         sup_seed=args.seed,
         l2_quadrature=args.l2_quadrature,
-        workers=args.workers,
     )
     _dump_json(report.to_dict(), args.json)
     return 0
@@ -249,7 +255,7 @@ def cmd_discrepancy(args) -> int:
         out["value"] = float(eq.exact)
         out["counting"] = eq.counting
     elif args.mode == "l2-stolarsky":
-        out["value"] = l2_discrepancy_stolarsky(points, workers=args.workers)
+        out["value"] = l2_discrepancy_stolarsky(points)
     elif args.mode == "l2-quadrature":
         out["value"] = l2_discrepancy_quadrature(points, n_centers=args.quad_centers)
     else:
@@ -355,10 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--riesz-s", default="1", metavar="S1,S2,...")
     p.add_argument("--no-energies", action="store_true")
     p.add_argument("--sup", choices=["estimate", "exact", "none"], default="estimate")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count(0), default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--l2-quadrature", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("discrepancy", help="cap discrepancy report as JSON")
@@ -366,11 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="estimate",
                    choices=["polar", "equatorial", "exact", "estimate",
                             "l2-stolarsky", "l2-quadrature"])
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count(0), default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-points", type=int, default=150)
-    p.add_argument("--quad-centers", type=int, default=4096)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--quad-centers", type=_count(1), default=4096)
     p.add_argument("--check-envelope", action="store_true",
                    help="exit 3 if a simple model leaves its guaranteed band")
     p.add_argument("--json", default="-", metavar="FILE")
@@ -386,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["partition", "scaling"], default="partition")
     p.add_argument("--M-range", "--m-range", dest="m_range", default="2:24",
                    metavar="LO:HI", help="M values for --kind scaling")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_count(0), default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, metavar="SVG")
     p.set_defaults(func=cmd_plot)

@@ -9,16 +9,14 @@ distance-sum identity, and a grid of cap centers with the height
 integral done exactly).
 
 Determinism contract: every randomized routine takes an explicit seed,
-and pairwise reductions accumulate per-row partial sums combined with
-exact summation, so results do not depend on chunking or worker count.
+and the pair sweep runs over a tiling fixed by N, combining per-row
+partial sums with exact summation, so the tiling fixes every result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -309,7 +307,7 @@ def _covering_budget(work: int, what: str) -> None:
 
 
 # Rows per tile of the pair sweep.  The tile grid depends on N only, so
-# every row's partial sum is the same whichever worker computes it.
+# it fixes every row's partial sum and with them the order of summation.
 _TILE_ROWS = 8
 
 
@@ -350,55 +348,53 @@ def _tile_partials(xyz, a: int, riesz_s: tuple[float, ...], log: bool,
 
 
 def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
-               log: bool = False, distance: bool = False,
-               workers: int | None = None) -> list[float]:
+               log: bool = False, distance: bool = False) -> list[float]:
     """2 * sum over i < j of each requested kernel, in one sweep of the pairs.
 
     Returns the Riesz sums in riesz_s order, then the log sum, then the
     distance sum.  Squared distances are computed once per tile and
-    shared by every kernel.  Each row's partial sums come from the same
-    tile whatever the worker count, and the partials are combined with
-    exact summation, so any worker count yields bit-identical results.
-    Riesz and log sums raise DuplicatePointError on coincident points; a
-    distance-only sweep accepts them.
+    shared by every kernel.  The tiles are fixed by N and each row's
+    partials are combined with exact summation, so the tiling fixes the
+    results bit for bit.  Riesz and log sums raise DuplicatePointError on
+    coincident points, which a distance-only sweep accepts; ValueError for
+    an exponent outside 0 < s < inf or a Riesz sum that overflows.
     """
-    if any(s <= 0 for s in riesz_s):
-        raise ValueError("Riesz exponent must be positive")
+    if bad := [s for s in riesz_s if not 0.0 < s < math.inf]:
+        raise ValueError(f"Riesz exponent must be positive and finite, got {bad[0]}")
     n = len(coords)
     if n < 2:
         raise ValueError("pairwise sums need at least two points")
-    if workers is None:
-        workers = int(os.environ.get("DIAMONDSPHERE_WORKERS", "1"))
     xyz = tuple(np.ascontiguousarray(coords[:, k]) for k in range(3))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        partials = np.concatenate([_tile_partials(xyz, a, riesz_s, log, distance)
+                                   for a in range(0, n - 1, _TILE_ROWS)], axis=1)
+    totals = []
+    # Log and distance terms are bounded: only a Riesz row, with its s, can overflow.
+    for s, row in itertools.zip_longest(riesz_s, partials):
+        try:
+            totals.append(2.0 * math.fsum(row))
+        except OverflowError:  # finite partials whose sum overflows
+            totals.append(math.inf)
+        if math.isinf(totals[-1]):
+            raise ValueError(f"Riesz sum for s = {s} overflows a float")
+    return totals
 
-    def tile(a):
-        return _tile_partials(xyz, a, riesz_s, log, distance)
 
-    starts = range(0, n - 1, _TILE_ROWS)
-    if workers <= 1 or n < 256:
-        tiles = [tile(a) for a in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            tiles = list(ex.map(tile, starts))
-    partials = np.concatenate(tiles, axis=1)
-    return [2.0 * math.fsum(row) for row in partials]
-
-
-def riesz_energy(points, s: float, workers: int | None = None) -> float:
-    """Sum over ordered pairs i != j of ||x_i - x_j||^(-s), s > 0."""
-    (total,) = _pair_sums(_as_coords(points), riesz_s=(s,), workers=workers)
+def riesz_energy(points, s: float) -> float:
+    """Sum over ordered pairs i != j of ||x_i - x_j||^(-s), 0 < s < inf."""
+    (total,) = _pair_sums(_as_coords(points), riesz_s=(s,))
     return total
 
 
-def log_energy(points, workers: int | None = None) -> float:
+def log_energy(points) -> float:
     """Sum over ordered pairs i != j of log(1/||x_i - x_j||)."""
-    (total,) = _pair_sums(_as_coords(points), log=True, workers=workers)
+    (total,) = _pair_sums(_as_coords(points), log=True)
     return total
 
 
-def sum_distances(points, workers: int | None = None) -> float:
+def sum_distances(points) -> float:
     """Sum over ordered pairs i != j of ||x_i - x_j||."""
-    (total,) = _pair_sums(_as_coords(points), distance=True, workers=workers)
+    (total,) = _pair_sums(_as_coords(points), distance=True)
     return total
 
 
@@ -630,11 +626,11 @@ def _stolarsky_l2(distance_sum: float, n: int) -> float:
     return math.sqrt(max(0.0, gap) / STOLARSKY_CONSTANT)
 
 
-def l2_discrepancy_stolarsky(points, workers: int | None = None) -> float:
+def l2_discrepancy_stolarsky(points) -> float:
     """L2 cap discrepancy via the distance-sum identity (see module head)."""
     coords = _as_coords(points)
     n = len(coords)
-    return _stolarsky_l2(0.0 if n == 1 else sum_distances(coords, workers), n)
+    return _stolarsky_l2(0.0 if n == 1 else sum_distances(coords), n)
 
 
 def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
@@ -665,8 +661,7 @@ def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
     return math.sqrt(total + 1.0 / (12 * n * n))
 
 
-def stolarsky_constant_estimate(points, n_centers: int = 20_000,
-                                workers: int | None = None) -> float:
+def stolarsky_constant_estimate(points, n_centers: int = 20_000) -> float:
     """(MEAN_CHORD - S_N) / D_quad^2 for one point set.
 
     Estimates the invariance constant from scratch; the calibration
@@ -674,7 +669,7 @@ def stolarsky_constant_estimate(points, n_centers: int = 20_000,
     """
     coords = _as_coords(points)
     n = len(coords)
-    mean = 0.0 if n == 1 else sum_distances(coords, workers) / (n * n)
+    mean = 0.0 if n == 1 else sum_distances(coords) / (n * n)
     d = l2_discrepancy_quadrature(coords, n_centers=n_centers)
     if d == 0.0:
         raise ValueError("degenerate quadrature value")
@@ -727,14 +722,15 @@ def compute_metrics(points: PointSet,
                     sup_mode: str | None = "estimate",
                     sup_samples: int = 10_000,
                     sup_seed: int = 0,
-                    l2_quadrature: bool = False,
-                    workers: int | None = None) -> MetricsReport:
+                    l2_quadrature: bool = False) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end."""
     n = len(points)
     rep = MetricsReport(n_points=n)
 
     if n >= 2:
         rep.separation = separation(points)
+        if rep.separation == 0.0:
+            raise DuplicatePointError("coincident points make the mesh ratio infinite")
         cov = covering_radius(points, partition=partition)
         rep.covering_estimate = cov.estimate
         rep.covering_upper_bound = cov.upper_bound
@@ -743,11 +739,10 @@ def compute_metrics(points: PointSet,
             rep.mesh_ratio = cov.upper_bound / rep.separation
         if energies:
             *riesz, rep.log_energy, rep.sum_distances = _pair_sums(
-                _as_coords(points), riesz_s, log=True, distance=True, workers=workers
-            )
+                _as_coords(points), riesz_s, log=True, distance=True)
             rep.riesz = {str(s): v for s, v in zip(riesz_s, riesz)}
     if rep.sum_distances is None:
-        rep.d_l2_stolarsky = l2_discrepancy_stolarsky(points, workers)
+        rep.d_l2_stolarsky = l2_discrepancy_stolarsky(points)
     else:
         rep.d_l2_stolarsky = _stolarsky_l2(rep.sum_distances, n)
     if l2_quadrature:

@@ -2,6 +2,8 @@
 wrappers that were removed because the vectorized kernels compute the same
 things.  Growing the API back needs an edit here."""
 
+import inspect
+
 import pytest
 
 import diamondsphere as ds
@@ -62,3 +64,10 @@ def test_removed_names_stay_removed(module, name):
                          ids=[f"{c.__name__}.{n}" for c, n in REMOVED_METHODS])
 def test_removed_methods_stay_removed(cls, name):
     assert not hasattr(cls, name)
+
+
+@pytest.mark.parametrize("name", ["riesz_energy", "log_energy", "sum_distances",
+                                  "l2_discrepancy_stolarsky", "stolarsky_constant_estimate",
+                                  "compute_metrics"])
+def test_pair_sweep_functions_take_no_worker_count(name):
+    assert "workers" not in inspect.signature(getattr(ds, name)).parameters

@@ -389,6 +389,27 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the stdout of the pair-sweep commands, from the sweep when it
+# still had a thread pool; neither runs the BLAS-dependent sup sweep.
+PAIR_SWEEP_SHA256 = {
+    "metrics-12-seed4": (
+        ["metrics", "--simple-M", "12", "--theta", "seed:4", "--riesz-s", "0.5,1,2",
+         "--sup", "none"],
+        "19f0c37d617efcc574b546a5e305982c344fe39e37b510b82e750611d143f8a9"),
+    "discrepancy-20-seed3-l2-stolarsky": (
+        ["discrepancy", "--simple-M", "20", "--theta", "seed:3", "--mode", "l2-stolarsky"],
+        "2c8ed15d3b3e69ae88183a50d31d478531f181cd798ebbe225424f42f72c098e"),
+}
+
+
+@pytest.mark.parametrize("label", list(PAIR_SWEEP_SHA256))
+def test_pair_sweep_outputs_match_golden_digests(label, capsys):
+    argv, digest = PAIR_SWEEP_SHA256[label]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("label", list(GOLDEN_SHA256))
 def test_structure_outputs_match_golden_digests(label, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -408,3 +429,73 @@ def test_structure_outputs_match_golden_digests(label, tmp_path, capsys, monkeyp
     outputs["verify.txt"], = command(["verify", *model])
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_SHA256[label]
+
+
+@pytest.mark.parametrize("command", [["metrics", "--simple-M", "2"],
+                                     ["discrepancy", "--simple-M", "2", "--mode", "l2-stolarsky"]],
+                         ids=["metrics", "discrepancy"])
+def test_workers_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--simple-M", "2", "--riesz-s", "nan"], "Riesz exponent must be positive and finite, got nan"),
+    (["--simple-M", "2", "--riesz-s", "inf"], "Riesz exponent must be positive and finite, got inf"),
+    (["--simple-M", "10", "--riesz-s", "1000"], "Riesz sum for s = 1000.0 overflows"),
+    (["--simple-M", "10", "--riesz-s", "400"], "Riesz sum for s = 400.0 overflows"),
+], ids=["nan", "inf", "overflow-1000", "fsum-overflow-400"])
+def test_riesz_sums_that_are_not_finite_exit_2(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would end in exit 1
+        code, out, err = run(["metrics", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-energies"]], ids=["energies", "no-energies"])
+def test_metrics_duplicate_points_exit_2(extra, tmp_path, capsys):
+    def repeat_row_1(lines):
+        lines[3] = "2," + lines[2].split(",", 1)[1]
+        return lines
+
+    pts = _edit_points_csv(tmp_path, capsys, repeat_row_1)
+    code, out, err = run(["metrics", "--points", pts, "--sup", "none", *extra], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "coincident points" in err
+
+
+@pytest.mark.parametrize("policy", ["abc", "0.1,abc", ""], ids=["word", "list-with-word", "empty"])
+def test_bad_theta_flag_is_a_model_error(policy, tmp_path, capsys):
+    code, out, err = run(["gen", "--simple-M", "2", "--theta", policy,
+                          "-o", str(tmp_path / "pts.csv")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("model error [theta_invalid]: ")
+    assert not (tmp_path / "pts.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["metrics", "--simple-M", "2", "--samples", "-1"], "--samples"),
+    (["discrepancy", "--simple-M", "2", "--samples", "-1"], "--samples"),
+    (["plot", "--kind", "scaling", "--M-range", "1:2", "--samples", "-1", "-o", "x.svg"],
+     "--samples"),
+    (["discrepancy", "--simple-M", "2", "--mode", "l2-quadrature", "--quad-centers", "0"],
+     "--quad-centers"),
+    (["discrepancy", "--simple-M", "2", "--samples", "many"], "--samples"),
+], ids=["metrics-samples", "discrepancy-samples", "plot-samples", "quad-centers",
+        "not-an-integer"])
+def test_count_flags_fail_at_parse_time(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_count_flags_accept_their_least_value(capsys):
+    code, out, _ = run(["discrepancy", "--simple-M", "2", "--samples", "0"], capsys)
+    assert code == 0 and json.loads(out)["value"] > 0
+    code, out, _ = run(["discrepancy", "--simple-M", "2", "--mode", "l2-quadrature",
+                        "--quad-centers", "1"], capsys)
+    assert code == 0 and json.loads(out)["value"] > 0

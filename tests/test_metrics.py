@@ -84,15 +84,6 @@ def test_energies_duplicate_points_raise():
         riesz_energy(PointSet(coords), s=2.0)
 
 
-def test_pair_sums_worker_invariant():
-    pts = generate(validate(simple_model(4)))
-    a = sum_distances(pts, workers=1)
-    b = sum_distances(pts, workers=4)
-    assert math.isclose(a, b, rel_tol=1e-12)
-    assert math.isclose(log_energy(pts, workers=1), log_energy(pts, workers=3),
-                        rel_tol=1e-12)
-
-
 def test_energies_invariant_under_rotation_and_permutation():
     rng = np.random.default_rng(12)
     pts = generate(validate(simple_model(3)))

@@ -96,18 +96,6 @@ def test_pair_sums_match_reference(name):
     assert math.isclose(sum_distances(pts), want_dist, rel_tol=1e-12)
 
 
-def test_pair_sums_bit_identical_for_any_worker_count():
-    coords = random_unit_points(np.random.default_rng(8), 517)  # threads from 256
-    pts = PointSet(coords)
-    runs = [_pair_sums(coords, RIESZ_S, log=True, distance=True, workers=w)
-            for w in (1, 2, 3, 4)]
-    assert all(run == runs[0] for run in runs)
-    for w in (2, 3, 4):
-        assert riesz_energy(pts, 1.0, workers=w) == riesz_energy(pts, 1.0, workers=1)
-        assert log_energy(pts, workers=w) == log_energy(pts, workers=1)
-        assert sum_distances(pts, workers=w) == sum_distances(pts, workers=1)
-
-
 def test_fused_and_single_kernel_sweeps_agree_exactly():
     coords = CASES["random-301"]
     *riesz, log_sum, dist = _pair_sums(coords, RIESZ_S, log=True, distance=True)

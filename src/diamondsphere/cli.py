@@ -29,6 +29,7 @@ from .ensemble import (
 from .geometry import TWO_PI, PointSet
 from .metrics import (
     ENVELOPE_UPPER_COEFF,
+    _check_riesz_s,
     cap_discrepancy_envelope,
     compute_metrics,
     equatorial_discrepancy,
@@ -211,6 +212,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    # distinct exponents in first-seen order, checked before any work
+    raw = args.riesz_s
+    riesz_s = tuple(dict.fromkeys(float(s) for s in raw.split(","))) if raw else ()
+    _check_riesz_s(riesz_s)
     model = _resolve_model(args)
     if model is not None:  # its bound and exact profiles hold for its own points only
         points = generate(model)
@@ -223,7 +228,7 @@ def cmd_metrics(args) -> int:
     part = build_partition(model) if model is not None else None
     report = compute_metrics(
         points, model, part,
-        riesz_s=tuple(float(s) for s in args.riesz_s.split(",")) if args.riesz_s else (),
+        riesz_s=riesz_s,
         energies=not args.no_energies,
         sup_mode=None if args.sup == "none" else args.sup,
         sup_samples=args.samples,
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-energies", action="store_true")
     p.add_argument("--sup", choices=["estimate", "exact", "none"], default="estimate")
     p.add_argument("--samples", type=_count(0), default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--l2-quadrature", action="store_true")
     p.set_defaults(func=cmd_metrics)
 
@@ -372,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["polar", "equatorial", "exact", "estimate",
                             "l2-stolarsky", "l2-quadrature"])
     p.add_argument("--samples", type=_count(0), default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-points", type=int, default=150)
+    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--max-points", type=_count(2), default=150)
     p.add_argument("--quad-centers", type=_count(1), default=4096)
     p.add_argument("--check-envelope", action="store_true",
                    help="exit 3 if a simple model leaves its guaranteed band")
@@ -391,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M-range", "--m-range", dest="m_range", default="2:24",
                    metavar="LO:HI", help="M values for --kind scaling")
     p.add_argument("--samples", type=_count(0), default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("-o", "--output", required=True, metavar="SVG")
     p.set_defaults(func=cmd_plot)
     return ap

@@ -135,6 +135,8 @@ def resolve_thetas(policy: str | Sequence[float], p: int) -> np.ndarray:
                 seed = int(policy[5:])
             except ValueError:
                 raise ModelError("theta_invalid", f"bad seed in theta policy {policy!r}")
+            if seed < 0:
+                raise ModelError("theta_invalid", f"negative seed in theta policy {policy!r}")
             rng = np.random.default_rng(seed)
             return rng.uniform(0.0, TWO_PI, size=p)
         raise ModelError("theta_invalid", f"unknown theta policy {policy!r}")

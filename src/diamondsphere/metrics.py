@@ -190,7 +190,7 @@ def covering_radius(points, partition: Partition | None = None) -> CoveringRadiu
     points not yet closed in by found triangles start triples.  h starts at
     twice the partition's bound, which only seeds the search, or at
     _COVERING_START/sqrt(N).  Sets in a closed hemisphere (N <= 3 among them)
-    take sup_discrepancy_exact's centers, at once when every x_i . sum(x) > 0;
+    take _cap_centers' candidates, at once when every x_i . sum(x) > 0;
     ValueError past _COVERING_MAX_WORK.
     """
     coords = np.unique(_as_coords(points), axis=0)
@@ -287,7 +287,7 @@ def _empty_circumcaps(coords: np.ndarray, h: float, open_: np.ndarray):
 
 
 def _exhaustive_offset(coords: np.ndarray) -> float:
-    """tau over sup_discrepancy_exact's centers (one to three points share the
+    """tau over _cap_centers' candidates (one to three points share the
     largest dot) and, for antipodes alone at tau = 0, one orthogonal c."""
     n = len(coords)
     _covering_budget(n * (2 * n + n * (n - 1) + 2 * math.comb(n, 3) + 1), "dots")
@@ -359,8 +359,7 @@ def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
     coincident points, which a distance-only sweep accepts; ValueError for
     an exponent outside 0 < s < inf or a Riesz sum that overflows.
     """
-    if bad := [s for s in riesz_s if not 0.0 < s < math.inf]:
-        raise ValueError(f"Riesz exponent must be positive and finite, got {bad[0]}")
+    _check_riesz_s(riesz_s)
     n = len(coords)
     if n < 2:
         raise ValueError("pairwise sums need at least two points")
@@ -378,6 +377,11 @@ def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
         if math.isinf(totals[-1]):
             raise ValueError(f"Riesz sum for s = {s} overflows a float")
     return totals
+
+
+def _check_riesz_s(riesz_s) -> None:
+    if bad := [s for s in riesz_s if not 0.0 < s < math.inf]:
+        raise ValueError(f"Riesz exponent must be positive and finite, got {bad[0]}")
 
 
 def riesz_energy(points, s: float) -> float:
@@ -548,15 +552,28 @@ def _blocked(arrays, block: int):
 
 
 def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
-    """Exact supremum of the cap discrepancy by candidate enumeration.
+    """Exact supremum of the cap discrepancy over pinned caps.
 
-    An extremal cap can always be slid until its boundary is pinned by
-    up to three points, so the supremum is attained within the finite
-    family swept here: every circumscribed circle of a point triple
-    (both orientations), every two-point diametral center, and every
-    point and antipode as center, each center combined with all N break
-    heights, counting closed and open.  Cost grows like N^4 log N; the
-    max_points guard keeps accidental large inputs out.
+    Closed excess: the points S inside a closed cap also lie in the
+    smallest cap that holds S, which counts at least as many points and
+    has no more area.  Its boundary passes through one, two or three
+    points of S: the cap is a point itself (t = 1), a diametral cap of a
+    pair (center the normalized midpoint) or a triple's circumcircle.
+    So the largest excess is the excess of a cap (c, c . x_p) pinned by
+    one of those points p.
+
+    Open deficit: the open cap (c, t) is the complement of the closed
+    cap (-c, -t), and its deficit equals that cap's excess.  Each
+    candidate therefore needs one orientation only, the one
+    _pinned_caps yields, counted both ways at its own height: closed
+    #{x . c >= d - BOUNDARY_TOL} at d the largest pinned dot, open
+    #{x . c > d + BOUNDARY_TOL} at d the smallest.  These are
+    count_in_cap's rules, so the witness reproduces the value.
+
+    N + C(N, 2) + C(N, 3) candidates at N dots each: O(N^4), with no
+    sort; the max_points guard keeps accidental large inputs out.
+    _best_over_centers over _cap_centers, which sweeps every height at
+    both orientations, is the slower reference in the tests.
     """
     coords = _as_coords(points)
     n = len(coords)
@@ -565,31 +582,77 @@ def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
     if n < 2:
         raise ValueError("need at least two points")
 
-    return _best_over_centers(coords, _cap_centers(coords))
+    best = (-np.inf, None, 0.0, "closed")
+    for centers, pins in _pinned_caps(coords):
+        if len(centers) == 0:
+            continue
+        dots = centers @ coords.T
+        pinned = np.take_along_axis(dots, pins, axis=1)
+        hi, lo = pinned.max(axis=1), pinned.min(axis=1)
+        closed = np.count_nonzero(dots >= (hi - BOUNDARY_TOL)[:, None], axis=1)
+        opened = np.count_nonzero(dots > (lo + BOUNDARY_TOL)[:, None], axis=1)
+        dev_closed = closed / n - (1.0 - hi) / 2.0
+        dev_open = (1.0 - lo) / 2.0 - opened / n
+        dev = np.maximum(dev_closed, dev_open)
+        k = int(np.argmax(dev))
+        if dev[k] > best[0]:
+            best = ((float(dev[k]), centers[k], float(hi[k]), "closed")
+                    if dev_closed[k] >= dev_open[k] else
+                    (float(dev[k]), centers[k], float(lo[k]), "open"))
+    value, center, t, side = best
+    cap = SphericalCap(UnitVec.from_array(center), max(-1.0, min(1.0, t)))
+    return SupDiscrepancy(value, cap, side)
+
+
+# Index triples per block of _pinned_caps' circumcircle candidates.
+_TRIPLE_BLOCK = 8192
+
+
+def _triples(n: int) -> np.ndarray:
+    """Every index triple i < j < k, in itertools.combinations order."""
+    a = np.arange(n)
+    return np.argwhere((a[:, None, None] < a[:, None]) & (a[:, None] < a))
+
+
+def _unit_rows(v: np.ndarray):
+    """The rows of v longer than DEGENERATE_TOL, scaled to unit length, and
+    the mask of those rows."""
+    norms = np.linalg.norm(v, axis=1)
+    keep = norms > DEGENERATE_TOL
+    return v[keep] / norms[keep, None], keep
+
+
+def _pinned_caps(coords: np.ndarray):
+    """Blocks of (centers, pins): every point with itself as pin, every
+    normalized pair midpoint with its pair, and one normal of every point
+    triple, in _TRIPLE_BLOCK triples a block, with its triple.  Pairs and
+    triples whose center is degenerate (an antipodal pair, a repeated
+    point) are left out."""
+    n = len(coords)
+    yield coords, np.arange(n)[:, None]
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    mids, keep = _unit_rows(coords[pairs[:, 0]] + coords[pairs[:, 1]])
+    yield mids, pairs[keep]
+    triples = _triples(n)
+    for lo in range(0, len(triples), _TRIPLE_BLOCK):
+        tri = triples[lo:lo + _TRIPLE_BLOCK]
+        a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
+        normals, keep = _unit_rows(np.cross(b - a, c - a))
+        yield normals, tri[keep]
 
 
 def _cap_centers(coords: np.ndarray):
     """Blocks of candidate centers: every point and antipode, every
     normalized pair midpoint and its antipode, and both normals of every
-    point triple."""
-    n = len(coords)
-    yield np.vstack([coords, -coords])
-    iu, ju = np.triu_indices(n, 1)
-    mids = coords[iu] + coords[ju]
-    norms = np.linalg.norm(mids, axis=1)
-    keep = norms > DEGENERATE_TOL
-    mids = mids[keep] / norms[keep, None]
+    point triple; _pinned_caps' centers in both orientations."""
+    blocks = _pinned_caps(coords)
+    points, _ = next(blocks)
+    yield np.vstack([points, -points])
+    mids, _ = next(blocks)
     yield from _blocked([mids, -mids], 8192)
-    combos = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
-    for lo in range(0, len(combos), 8192):
-        tri = combos[lo:lo + 8192]
-        a, b, c = coords[tri[:, 0]], coords[tri[:, 1]], coords[tri[:, 2]]
-        normal = np.cross(b - a, c - a)
-        norms = np.linalg.norm(normal, axis=1)
-        keep = norms > DEGENERATE_TOL
-        normal = normal[keep] / norms[keep, None]
-        yield normal
-        yield -normal
+    for normals, _ in blocks:
+        yield normals
+        yield -normals
 
 
 def sup_discrepancy_estimate(points, n_samples: int = 10_000,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diamondsphere import metrics
 from diamondsphere import (
     DiamondModel,
     ModelSpec,
@@ -61,6 +62,16 @@ def mean_chord_monte_carlo(n_pairs: int = 2_000_000, seed: int = 0) -> float:
         parts.append(float(np.sum(np.linalg.norm(x - y, axis=1))))
         remaining -= m
     return math.fsum(parts) / n_pairs
+
+
+def sup_exact_reference(coords: np.ndarray):
+    """Every break height at every candidate center, in both orientations.
+
+    The reference for sup_discrepancy_exact, which counts each pinned cap
+    at its own height only; both take their centers from
+    metrics._pinned_caps.
+    """
+    return metrics._best_over_centers(coords, metrics._cap_centers(coords))
 
 
 def brute_force_separation(coords: np.ndarray) -> float:

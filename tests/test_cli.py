@@ -455,6 +455,30 @@ def test_riesz_sums_that_are_not_finite_exit_2(argv, message, capsys):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exponent", ["nan", "inf", "0", "-1"])
+def test_riesz_exponents_are_checked_without_energies(exponent, capsys):
+    code, out, err = run(["metrics", "--simple-M", "2", "--riesz-s", f"1,{exponent}",
+                          "--no-energies"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: Riesz exponent must be positive and finite, got {float(exponent)}\n"
+
+
+def test_repeated_riesz_exponent_runs_once(monkeypatch, capsys):
+    swept = []
+    pair_sums = diamondsphere.metrics._pair_sums
+
+    def spy(coords, riesz_s=(), **kw):
+        swept.append(riesz_s)
+        return pair_sums(coords, riesz_s, **kw)
+
+    monkeypatch.setattr(diamondsphere.metrics, "_pair_sums", spy)
+    argv = ["metrics", "--simple-M", "3", "--sup", "none", "--riesz-s"]
+    _, once, _ = run(argv + ["1,2"], capsys)
+    _, repeated, _ = run(argv + ["1,2,1.0,2"], capsys)
+    assert repeated == once
+    assert swept == [(1.0, 2.0), (1.0, 2.0)]
+
+
 @pytest.mark.parametrize("extra", [[], ["--no-energies"]], ids=["energies", "no-energies"])
 def test_metrics_duplicate_points_exit_2(extra, tmp_path, capsys):
     def repeat_row_1(lines):
@@ -467,7 +491,8 @@ def test_metrics_duplicate_points_exit_2(extra, tmp_path, capsys):
     assert err.startswith("error: ") and "coincident points" in err
 
 
-@pytest.mark.parametrize("policy", ["abc", "0.1,abc", ""], ids=["word", "list-with-word", "empty"])
+@pytest.mark.parametrize("policy", ["abc", "0.1,abc", "", "seed:-1"],
+                         ids=["word", "list-with-word", "empty", "negative-seed"])
 def test_bad_theta_flag_is_a_model_error(policy, tmp_path, capsys):
     code, out, err = run(["gen", "--simple-M", "2", "--theta", policy,
                           "-o", str(tmp_path / "pts.csv")], capsys)
@@ -484,8 +509,16 @@ def test_bad_theta_flag_is_a_model_error(policy, tmp_path, capsys):
     (["discrepancy", "--simple-M", "2", "--mode", "l2-quadrature", "--quad-centers", "0"],
      "--quad-centers"),
     (["discrepancy", "--simple-M", "2", "--samples", "many"], "--samples"),
+    (["metrics", "--simple-M", "2", "--seed", "-1"], "--seed"),
+    (["discrepancy", "--simple-M", "2", "--seed", "-1"], "--seed"),
+    (["plot", "--kind", "scaling", "--M-range", "1:2", "--seed", "-1", "-o", "x.svg"], "--seed"),
+    (["discrepancy", "--simple-M", "2", "--mode", "exact", "--max-points", "-5"],
+     "--max-points"),
+    (["discrepancy", "--simple-M", "2", "--mode", "exact", "--max-points", "1"],
+     "--max-points"),
 ], ids=["metrics-samples", "discrepancy-samples", "plot-samples", "quad-centers",
-        "not-an-integer"])
+        "not-an-integer", "metrics-seed", "discrepancy-seed", "plot-seed",
+        "max-points-negative", "max-points-one"])
 def test_count_flags_fail_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -9,11 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_random_spec, mean_chord_monte_carlo, random_unit_points
+from conftest import (
+    make_random_spec,
+    mean_chord_monte_carlo,
+    random_unit_points,
+    sup_exact_reference,
+)
 from diamondsphere import metrics
 from diamondsphere import (
     BOUNDARY_TOL,
     MEAN_CHORD,
+    ModelSpec,
     PointSet,
     count_in_cap,
     equatorial_discrepancy,
@@ -173,6 +179,61 @@ def test_sup_exact_size_guard(simple_suite):
     pts = simple_suite[4][1]
     with pytest.raises(ValueError):
         sup_discrepancy_exact(pts, max_points=50)
+
+
+SUP_REFERENCE_SETS = (
+    [f"M{M}-{theta}" for M in range(1, 6) for theta in ("zeros", "seed:2", "seed:3")]
+    + ["two-piece"]
+    + [f"random-{n}" for n in (2, 3, 4, 5, 8, 13, 21, 34, 60)]
+    + ["duplicated-rows", "antipodal-pair", "antipodal-pair-and-more", "ring-and-poles"]
+)
+
+
+def sup_reference_set(name: str) -> np.ndarray:
+    rng = np.random.default_rng(23)
+    if name == "two-piece":
+        spec = ModelSpec(M=5, n=2, t=(0, 2, 5), alpha=(0, 4), beta=(3, 1),
+                         theta_policy="seed:2")
+        return generate(validate(spec)).coords
+    if name.startswith("random-"):
+        n = int(name.split("-")[1])
+        return random_unit_points(np.random.default_rng(n), n)
+    if name == "duplicated-rows":
+        return random_unit_points(rng, 9)[[0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 3, 3]]
+    if name == "antipodal-pair":
+        p = random_unit_points(rng, 1)
+        return np.vstack([p, -p])
+    if name == "antipodal-pair-and-more":
+        p = random_unit_points(rng, 6)
+        return np.vstack([p, -p[:1]])
+    if name == "ring-and-poles":
+        phi = 0.1 + 2 * math.pi * np.arange(7) / 7
+        s = math.sqrt(1 - 0.3 ** 2)
+        ring = np.column_stack([s * np.cos(phi), s * np.sin(phi), np.full(7, 0.3)])
+        return np.vstack([[0.0, 0.0, 1.0], ring, [0.0, 0.0, -1.0]])
+    M, theta = name[1:].split("-", 1)
+    return generate(validate(simple_model(int(M), theta_policy=theta))).coords
+
+
+@pytest.mark.parametrize("name", SUP_REFERENCE_SETS)
+def test_sup_exact_matches_full_sweep_reference(name):
+    coords = sup_reference_set(name)
+    sup = sup_discrepancy_exact(coords)
+    assert math.isclose(sup.value, sup_exact_reference(coords).value, rel_tol=0, abs_tol=1e-12)
+    k = count_in_cap(coords, sup.witness, mode=sup.side)
+    excess = k / len(coords) - sup.witness.area_fraction
+    assert math.isclose(excess if sup.side == "closed" else -excess, sup.value,
+                        rel_tol=0, abs_tol=1e-12)
+
+
+# A one-row block would go to BLAS's matrix-vector product, whose dots may
+# round differently in the last bit, so the smallest block tried is 64 rows.
+@pytest.mark.parametrize("block", [64, 1000, 10**9])
+def test_sup_exact_independent_of_block_size(block, monkeypatch):
+    coords = sup_reference_set("random-21")
+    want = sup_discrepancy_exact(coords)
+    monkeypatch.setattr(metrics, "_TRIPLE_BLOCK", block)
+    assert sup_discrepancy_exact(coords) == want
 
 
 def test_sup_estimate_never_exceeds_exact(exact_sup_cache, simple_suite):

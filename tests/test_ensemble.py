@@ -102,6 +102,8 @@ def test_theta_policies():
         resolve_thetas([0.1, 0.2], 3)
     with pytest.raises(ModelError):
         resolve_thetas("seed:x", 3)
+    with pytest.raises(ModelError, match="negative seed"):
+        resolve_thetas("seed:-1", 3)
     with pytest.raises(ModelError):
         resolve_thetas("random", 3)
     with pytest.raises(ModelError):

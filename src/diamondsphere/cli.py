@@ -124,6 +124,13 @@ def _count(least: int):
     return count
 
 
+def _m_range(text: str) -> range:
+    lo, _, hi = text.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"want LO:HI with integers 1 <= LO <= HI, got {text!r}")
+    return range(int(lo), int(hi) + 1)
+
+
 def _resolve_model(args) -> DiamondModel | None:
     theta = _parse_theta(args.theta)
     if args.simple_M is not None:
@@ -299,12 +306,8 @@ def cmd_plot(args) -> int:
         part = build_partition(model)
         svg = plotting.svg_projection(points, part)
     else:
-        lo, hi = (int(v) for v in args.m_range.split(":"))
-        if lo < 1 or hi < lo:
-            raise ValueError("bad --M-range, want LO:HI with 1 <= LO <= HI")
-        ms = list(range(lo, hi + 1))
         ns, sup_vals, polar_vals = [], [], []
-        for m in ms:
+        for m in args.m_range:
             model = validate(simple_model(m))
             points = generate(model)
             ns.append(model.N)
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render an SVG figure")
     _add_model_args(p, required=False)
     p.add_argument("--kind", choices=["partition", "scaling"], default="partition")
-    p.add_argument("--M-range", "--m-range", dest="m_range", default="2:24",
+    p.add_argument("--M-range", "--m-range", dest="m_range", type=_m_range, default="2:24",
                    metavar="LO:HI", help="M values for --kind scaling")
     p.add_argument("--samples", type=_count(0), default=2000)
     p.add_argument("--seed", type=_count(0), default=0)

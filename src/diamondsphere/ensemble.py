@@ -8,8 +8,10 @@ every point "owns" the same fraction of the total surface, which is what
 makes the companion partition equal-area.
 
 Everything that admits exact arithmetic is kept exact: r_j, N, the
-partial counts N_j and the heights z_j are integers and Fractions;
-floats only appear in generated coordinates.
+partial counts N_j and the heights z_j are integers and Fractions.  The
+floats derived from them live in one per-ring table, ``DiamondModel.rings``,
+built once by ``validate``: each is rounded once from its exact integer
+ratio, and ``generate`` and the partition take their floats from it.
 """
 
 from __future__ import annotations
@@ -152,6 +154,25 @@ def resolve_thetas(policy: str | Sequence[float], p: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Rings:
+    """Read-only per-ring columns; row j - 1 describes parallel j = 1..p.
+
+    r and first (N_j: the ring's first point index and first region id)
+    are int64, theta the rotation offsets.  z is z_j, s the square root of
+    1 - z_j^2, and b the p + 1 partition boundaries b_k = 1 - 2 N_k / N,
+    ring j spanning (b_{j+1}, b_j]; z, b and 1 - z_j^2 are each the
+    correctly rounded float of their exact ratio of integers.
+    """
+
+    r: np.ndarray
+    first: np.ndarray
+    theta: np.ndarray
+    z: np.ndarray
+    s: np.ndarray
+    b: np.ndarray
+
+
+@dataclass(frozen=True)
 class DiamondModel:
     """A validated model with all derived exact quantities.
 
@@ -165,6 +186,8 @@ class DiamondModel:
         n_partial[j - 1] = N_j = 1 + sum(r_k for k < j), for j in 1..p + 1.
     z_exact : tuple of Fraction
         Heights of the parallels, strictly decreasing, antisymmetric.
+    rings : Rings
+        The same ring facts as read-only arrays, with their floats.
     """
 
     spec: ModelSpec
@@ -173,7 +196,11 @@ class DiamondModel:
     N: int
     n_partial: tuple[int, ...]
     z_exact: tuple[Fraction, ...]
-    theta: np.ndarray
+    rings: Rings
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.rings.theta
 
     @property
     def M(self) -> int:
@@ -259,22 +286,29 @@ def validate(spec: ModelSpec) -> DiamondModel:
     n_partial = tuple(itertools.accumulate(r, initial=1))
     assert n_partial[-1] == N - 1
 
-    # z_j = num_j / (N - 1), num_j = N - 2 - r_j - 2 sum_{k<j} r_k, must equal
-    # the partial-count form, decrease strictly, be antisymmetric and lie in
-    # (-(N - 1), N - 1); integers make these checks cheap.
-    num = []
-    below = 0  # sum of r_k for k < j
-    for rj in r:
-        num.append(N - 2 - rj - 2 * below)
-        below += rj
-    assert all(v == N - 1 - 2 * nj - (rj - 1) for v, rj, nj in zip(num, r, n_partial))
+    # z_j = num_j / (N - 1), num_j = N - 2 - r_j - 2 sum_{k<j} r_k = N - r_j - 2 N_j,
+    # must decrease strictly, be antisymmetric and lie in (-(N - 1), N - 1);
+    # integers make these checks cheap.
+    num = [N - rj - 2 * nj for rj, nj in zip(r, n_partial)]
     assert all(a > b for a, b in zip(num, num[1:]))
     assert num == [-v for v in reversed(num)]
     assert N - 1 > num[0] and num[-1] > 1 - N
     z_exact = tuple(Fraction(v, N - 1) for v in num)
 
-    thetas = resolve_thetas(spec.theta_policy, p)
-    thetas.setflags(write=False)
+    # The ring table: Python ints divide with one correct rounding and never
+    # overflow, and (1 - z)(1 + z) as one ratio loses none of the tiny 1 - z^2
+    # near the poles to cancellation.
+    d = N - 1
+    rings = Rings(
+        r=np.array(r, dtype=np.int64),
+        first=np.array(n_partial[:-1], dtype=np.int64),
+        theta=resolve_thetas(spec.theta_policy, p),
+        z=np.array([v / d for v in num]),
+        s=np.sqrt([(d - v) * (d + v) / (d * d) for v in num]),
+        b=np.array([(N - 2 * nk) / N for nk in n_partial]),
+    )
+    for column in vars(rings).values():
+        column.setflags(write=False)
 
     return DiamondModel(
         spec=ModelSpec(M=M, n=n, t=t, alpha=alpha, beta=beta, theta_policy=spec.theta_policy),
@@ -283,7 +317,7 @@ def validate(spec: ModelSpec) -> DiamondModel:
         N=N,
         n_partial=n_partial,
         z_exact=z_exact,
-        theta=thetas,
+        rings=rings,
     )
 
 
@@ -294,38 +328,20 @@ def generate(model: DiamondModel) -> PointSet:
     i = 0..r_j - 1.  Point order and values are deterministic given the
     model (including its theta policy).
     """
-    N = model.N
+    N, rings = model.N, model.rings
+    counts = np.concatenate([[1], rings.r, [1]])  # the poles are rings of one point
+    parallel = np.repeat(np.arange(model.p + 2), counts)
+    index = np.arange(N) - np.repeat([0, *rings.first, N - 1], counts)
+    phi = TWO_PI * index[1:-1] / np.repeat(rings.r, rings.r) + np.repeat(rings.theta, rings.r)
+    s = np.repeat(rings.s, rings.r)
+
     coords = np.empty((N, 3))
-    parallel = np.empty(N, dtype=np.int64)
-    index_in_parallel = np.empty(N, dtype=np.int64)
-
     coords[0] = (0.0, 0.0, 1.0)
-    parallel[0] = 0
-    index_in_parallel[0] = 0
-
-    pos = 1
-    for j in range(1, model.p + 1):
-        rj = model.r[j - 1]
-        zf = model.z_exact[j - 1]
-        z = float(zf)
-        # (1 - z)(1 + z) in exact arithmetic first: near the poles this
-        # loses none of the tiny 1 - z^2 to cancellation.
-        s = math.sqrt(float((1 - zf) * (1 + zf)))
-        i = np.arange(rj)
-        phi = TWO_PI * i / rj + model.theta[j - 1]
-        coords[pos:pos + rj, 0] = s * np.cos(phi)
-        coords[pos:pos + rj, 1] = s * np.sin(phi)
-        coords[pos:pos + rj, 2] = z
-        parallel[pos:pos + rj] = j
-        index_in_parallel[pos:pos + rj] = i
-        pos += rj
-
-    coords[pos] = (0.0, 0.0, -1.0)
-    parallel[pos] = model.p + 1
-    index_in_parallel[pos] = 0
-    assert pos == N - 1
-
-    return PointSet(coords, parallel=parallel, index_in_parallel=index_in_parallel)
+    coords[1:-1, 0] = s * np.cos(phi)
+    coords[1:-1, 1] = s * np.sin(phi)
+    coords[1:-1, 2] = np.repeat(rings.z, rings.r)
+    coords[-1] = (0.0, 0.0, -1.0)
+    return PointSet(coords, parallel=parallel, index_in_parallel=index)
 
 
 @dataclass(frozen=True)

@@ -424,10 +424,12 @@ class PolarProfile:
 
 def polar_cap_profile(model: DiamondModel) -> PolarProfile:
     """Exact cap discrepancy at heights z_1 .. z_M."""
-    N = model.N
-    js = tuple(range(1, model.M + 1))
-    exact = [abs(Fraction(model.partial_count(j + 1), N) - (1 - model.height_z_exact(j)) / 2)
-             for j in js]
+    N, M, rings = model.N, model.M, model.rings
+    js = tuple(range(1, M + 1))
+    # With N_{j+1} = N_j + r_j and (N - 1)(1 - z_j) = 2 N_j + r_j - 1, the
+    # deviation is an integer over 2N(N - 1); Python ints keep it exact.
+    exact = [Fraction(abs((N - 2) * r + N - 2 * first), 2 * N * (N - 1))
+             for r, first in zip(rings.r[:M].tolist(), rings.first[:M].tolist())]
     closed_form = None
     if model.is_simple:
         closed_form = tuple(

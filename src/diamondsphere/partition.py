@@ -7,7 +7,8 @@ through the equator too (b_{2M+1-k} = -b_k; the defining heights
 h_j = b_j, j <= M).  Ring j spans (b_{j+1}, b_j] and holds r_j cells,
 so every region has area exactly 4*pi/N, and parallel j is strictly
 interior to its ring: b_{j+1} < z_j < b_j.  All of that is certified in
-rational arithmetic; floats only enter when locating arbitrary points.
+rational arithmetic from ``Partition.b_exact``; every float, and r, theta
+and the first index N_j of a ring, comes from ``DiamondModel.rings``.
 ``certify`` runs every check that the ``verify`` command reports, and
 ``partition_records`` builds the records ring by ring.
 
@@ -23,6 +24,7 @@ Region ownership conventions (fixed for the whole package):
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensemble import DiamondModel, model_constants
+from .ensemble import DiamondModel, Rings, model_constants
 from .geometry import SPHERE_AREA, TWO_PI, PointSet
 
 
@@ -84,47 +86,41 @@ class Partition:
 
     def __init__(self, model: DiamondModel):
         self.model = model
-        M, nk = model.M, model.n_partial
         # Boundary k at b_k = 1 - 2 N_k / N, k = 1..p + 1; ring j spans
         # (b_{j+1}, b_j], the north cap ends at b_1, the south cap at b_{p+1}.
-        b = [1 - Fraction(2 * n, model.N) for n in nk]
-        self.h_exact: tuple[Fraction, ...] = tuple(b[:M])
-        self.h = np.array([float(v) for v in self.h_exact])
-        # Ring descriptors in region-id order; a ring's first region id and
-        # first point index are both N_j.
-        self._collars: list[dict] = [
-            {"jp": j, "r": model.r[j - 1], "theta": float(model.theta[j - 1]),
-             "h_hi": b[j - 1], "h_lo": b[j], "first_region": nk[j - 1], "first_point": nk[j - 1]}
-            for j in range(1, model.p + 1)
-        ]
+        self.b_exact: tuple[Fraction, ...] = tuple(1 - Fraction(2 * n, model.N)
+                                                   for n in model.n_partial)
         self.n_regions = model.N
 
         # Height boundaries bottom-up for locate_many(); the symmetry of r
         # makes b_{2M+1-k} = -b_k: -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
-        self._asc_bounds = np.array([-1.0, *(float(v) for v in reversed(b)), 1.0])
+        self._asc_bounds = np.concatenate([[-1.0], model.rings.b[::-1], [1.0]])
         assert np.all(np.diff(self._asc_bounds) > 0)
+
+    @property
+    def h_exact(self) -> tuple[Fraction, ...]:
+        """The defining heights h_j = b_j of the northern collars, j = 1..M."""
+        return self.b_exact[:self.model.M]
 
     # -- region materialization -------------------------------------------
 
     def region(self, region_id: int) -> Region:
-        N = self.model.N
-        h1 = self.h_exact[0]
+        N, b, bf = self.model.N, self.b_exact, self.model.rings.b
         if region_id == 0:
             return Region(0, "cap_north", 0, 0, None, None,
-                          float(h1), 1.0, h1, Fraction(1), 0)
+                          float(bf[0]), 1.0, b[0], Fraction(1), 0)
         if region_id == N - 1:
             return Region(N - 1, "cap_south", 0, 0, None, None,
-                          -1.0, float(-h1), Fraction(-1), -h1, N - 1)
+                          -1.0, float(bf[-1]), Fraction(-1), b[-1], N - 1)
         if not 0 < region_id < N - 1:
             raise IndexError(f"region id {region_id} outside 0..{N - 1}")
-        col = self._collars[bisect_right(self.model.n_partial, region_id) - 1]
-        i = region_id - col["first_region"]
-        r = col["r"]
-        phi_lo = _phi_lo(col, i)
+        j = bisect_right(self.model.n_partial, region_id)
+        first, r = self.model.n_partial[j - 1], self.model.r[j - 1]
+        i = region_id - first
+        phi_lo = _phi_lo(self.model.rings, j, i)
         return Region(
-            region_id, "rect", col["jp"], i, phi_lo, phi_lo + TWO_PI / r,
-            float(col["h_lo"]), float(col["h_hi"]), col["h_lo"], col["h_hi"],
-            col["first_point"] + (i + 1) % r,
+            region_id, "rect", j, i, phi_lo, phi_lo + TWO_PI / r,
+            float(bf[j]), float(bf[j - 1]), b[j], b[j - 1], first + (i + 1) % r,
         )
 
     def __iter__(self) -> Iterator[Region]:
@@ -134,19 +130,13 @@ class Partition:
     def __len__(self) -> int:
         return self.n_regions
 
-    @property
-    def collars(self) -> tuple[dict, ...]:
-        """Ring descriptors in region-id order; heights are exact Fractions."""
-        return tuple(dict(c) for c in self._collars)
-
     # -- point/region matching --------------------------------------------
 
     def locate_many(self, coords: np.ndarray) -> np.ndarray:
         """Region id containing each row (a total function); rows must be unit vectors."""
         coords = np.asarray(coords, dtype=float)
         z = coords[:, 2]
-        N = self.model.N
-        M = self.model.M
+        N, M, rings = self.model.N, self.model.M, self.model.rings
         # Ascending band b owns (asc[b], asc[b + 1]]; z = -1 falls in band 0.
         band = np.searchsorted(self._asc_bounds, z, side="left") - 1
         band = np.clip(band, 0, 2 * M)
@@ -158,21 +148,20 @@ class Partition:
         out[north_cap] = 0
 
         rect = ~(south_cap | north_cap)
-        if np.any(rect):
-            phi = np.arctan2(coords[rect, 1], coords[rect, 0]) % TWO_PI
-            ring = 2 * M - 1 - band[rect]  # band M is the equator ring, j = M
-            r = np.array(self.model.r)[ring]
-            theta = self.model.theta[ring]
-            frac = (phi - theta - math.pi / r) * r / TWO_PI
-            i = np.floor(frac).astype(np.int64) % r
-            out[rect] = np.array(self.model.n_partial)[ring] + i
+        phi = np.arctan2(coords[rect, 1], coords[rect, 0]) % TWO_PI
+        ring = 2 * M - 1 - band[rect]  # band M is the equator ring, j = M
+        r = rings.r[ring]
+        frac = (phi - rings.theta[ring] - math.pi / r) * r / TWO_PI
+        i = np.floor(frac).astype(np.int64) % r
+        out[rect] = rings.first[ring] + i
         return out
 
 
-def _phi_lo(col: dict, i):
-    """Lower longitude of cell i (an int or an int array) of a collar's ring."""
-    r = col["r"]
-    return (TWO_PI * i / r + math.pi / r + col["theta"]) % TWO_PI
+def _phi_lo(rings: Rings, j: int, i):
+    """Lower longitude of cell i (an int or an int array) of ring j, in
+    Python float arithmetic for an int i."""
+    r, theta = int(rings.r[j - 1]), float(rings.theta[j - 1])
+    return (TWO_PI * i / r + math.pi / r + theta) % TWO_PI
 
 
 # Relative rounding of a float area besides its longitude difference: the
@@ -180,13 +169,14 @@ def _phi_lo(col: dict, i):
 _AREA_EPS = 4.0 * np.finfo(float).eps
 
 
-def _ring_areas(col: dict) -> tuple[np.ndarray, float]:
-    """Float areas of a ring's cells and their relative rounding bound: the
+def _ring_areas(model: DiamondModel, j: int) -> tuple[np.ndarray, float]:
+    """Float areas of ring j's cells and their relative rounding bound: the
     sum phi_lo + 2*pi/r lies below 4*pi, so its difference with phi_lo is
-    off by ulp(2*pi) at most, doubled to r*ulp(2*pi)/pi relative."""
-    r = col["r"]
-    phi_lo = _phi_lo(col, np.arange(r))
-    areas = (phi_lo + TWO_PI / r - phi_lo) * float(col["h_hi"] - col["h_lo"])
+    off by ulp(2*pi) at most, doubled to r*ulp(2*pi)/pi relative.  The
+    height b_j - b_{j+1} = 2 r_j / N is rounded once from its integers."""
+    r = model.r[j - 1]
+    phi_lo = _phi_lo(model.rings, j, np.arange(r))
+    areas = (phi_lo + TWO_PI / r - phi_lo) * (2 * r / model.N)
     return areas, r * math.ulp(TWO_PI) / math.pi + _AREA_EPS
 
 
@@ -250,10 +240,10 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
     model = partition.model
     failures: list[str] = []
 
-    for c in partition._collars:
-        zj = model.height_z_exact(c["jp"])
-        if not (c["h_lo"] < zj < c["h_hi"]):
-            failures.append(f"parallel {c['jp']}: z = {zj} outside ({c['h_lo']}, {c['h_hi']})")
+    b = partition.b_exact
+    for j, (h_hi, zj, h_lo) in enumerate(zip(b, model.z_exact, b[1:]), start=1):
+        if not (h_lo < zj < h_hi):
+            failures.append(f"parallel {j}: z = {zj} outside ({h_lo}, {h_hi})")
     interleaving_ok = not failures
 
     if not points.has_provenance or len(points) != model.N:
@@ -263,8 +253,8 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
 
     # Point k of the ring with first point and first region N_j lies in
     # region N_j + (k - N_j - 1) mod r_j.
-    N = model.N
-    first, r = np.repeat(model.n_partial[:-1], model.r), np.repeat(model.r, model.r)
+    N, rings = model.N, model.rings
+    first, r = np.repeat(rings.first, rings.r), np.repeat(rings.r, rings.r)
     expected = np.concatenate([[0], first + (np.arange(1, N - 1) - first - 1) % r, [N - 1]])
     located = partition.locate_many(points.coords)
     mism = np.nonzero(located != expected)[0]
@@ -272,7 +262,8 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
         failures.append(
             f"point {idx}: locate -> {located[idx]}, matching says {expected[idx]}"
         )
-    bijection_ok = mism.size == 0 and len(np.unique(expected)) == model.N
+    # every region id exactly once, counted in O(N)
+    bijection_ok = mism.size == 0 and bool((np.bincount(expected, minlength=N) == 1).all())
 
     ok = interleaving_ok and bijection_ok
     return MatchingReport(ok, interleaving_ok, bijection_ok, located, tuple(failures))
@@ -288,26 +279,17 @@ def side_lengths(partition: Partition, j: int) -> SideLengths:
     M = partition.model.M
     if not 1 <= j <= M:
         raise IndexError(f"collar index {j} outside 1..{M}")
-    col = partition._collars[j - 1]
-    h_hi, h_lo, r = float(col["h_hi"]), float(col["h_lo"]), col["r"]
-
-    def arc(h: float) -> float:
-        return TWO_PI * math.sqrt(max(0.0, 1.0 - h * h)) / r
-
-    top, bottom = arc(h_hi), arc(h_lo)
-    vertical = math.acos(h_lo) - math.acos(h_hi)
-
+    h_hi, h_lo = partition.model.rings.b[j - 1:j + 1].tolist()
+    r = partition.model.r[j - 1]
     dphi = TWO_PI / r
-    corners = []
+    arcs, corners = [], []
     for h in (h_hi, h_lo):
         s = math.sqrt(max(0.0, 1.0 - h * h))
-        corners.append((s, 0.0, h))
-        corners.append((s * math.cos(dphi), s * math.sin(dphi), h))
-    diameter = max(
-        math.dist(corners[a], corners[b])
-        for a in range(4) for b in range(a + 1, 4)
-    )
-    return SideLengths(min(top, bottom), max(top, bottom), vertical, diameter)
+        arcs.append(TWO_PI * s / r)
+        corners += [(s, 0.0, h), (s * math.cos(dphi), s * math.sin(dphi), h)]
+    vertical = math.acos(h_lo) - math.acos(h_hi)
+    diameter = max(math.dist(a, b) for a, b in itertools.combinations(corners, 2))
+    return SideLengths(min(arcs), max(arcs), vertical, diameter)
 
 
 def certify(partition: Partition, points: PointSet) -> str:
@@ -325,7 +307,7 @@ def certify(partition: Partition, points: PointSet) -> str:
         if region_area_fraction_exact(partition, region) != Fraction(1, n):
             raise VerificationFailure(f"region {rid} area fraction is not 1/N")
         if region.kind == "rect":
-            areas, rel_tol = _ring_areas(partition._collars[region.j - 1])
+            areas, rel_tol = _ring_areas(model, region.j)
         else:
             areas, rel_tol = np.array([region_area(region)]), _AREA_EPS
         off = np.flatnonzero(np.abs(areas - area_f) > rel_tol * area_f)
@@ -396,13 +378,11 @@ def covering_upper_bound(partition: Partition) -> float:
     Cells within a ring are congruent with congruently placed points, so
     one evaluation per ring plus the cap rim distance suffices.
     """
-    model = partition.model
-    h1 = float(partition.h_exact[0])
-    best = math.sqrt(2.0 - 2.0 * h1)
-    for col in partition._collars:
-        z = float(model.height_z_exact(col["jp"]))
-        far = _collar_far_radius(float(col["h_hi"]), float(col["h_lo"]), z, col["r"])
-        best = max(best, far)
+    rings = partition.model.rings
+    b = rings.b.tolist()
+    best = math.sqrt(2.0 - 2.0 * b[0])
+    for h_hi, h_lo, z, r in zip(b, b[1:], rings.z.tolist(), rings.r.tolist()):
+        best = max(best, _collar_far_radius(h_hi, h_lo, z, r))
     return best
 
 
@@ -420,13 +400,12 @@ def partition_records(partition: Partition) -> list[dict]:
         if reg.kind != "rect":
             records.append(base)
             continue
-        col = partition._collars[reg.j - 1]
-        r = col["r"]
+        r = model.r[reg.j - 1]
         i = np.arange(r)
-        phi_lo = _phi_lo(col, i)
+        phi_lo = _phi_lo(model.rings, reg.j, i)
         records.extend(
             {**base, "region_id": rid + k, "i": k, "phi_lo": lo, "phi_hi": hi, "matched_point": m}
             for k, lo, hi, m in zip(range(r), phi_lo.tolist(), (phi_lo + TWO_PI / r).tolist(),
-                                    (col["first_point"] + (i + 1) % r).tolist())
+                                    (rid + (i + 1) % r).tolist())
         )
     return records

@@ -71,25 +71,22 @@ def svg_projection(points: PointSet, partition: Partition | None = None,
         body.append(_text(cx, pad, label, text_anchor="middle"))
 
     if partition is not None:
+        rings = partition.model.rings
+        b = rings.b.tolist()
         for south in (False, True):
             cx, cy = disk_center(south)
-            sgn = -1.0 if south else 1.0
             # circles of latitude at every partition height on this side
-            for h in partition.h:
-                hh = sgn * h
-                body.append(_circle(cx, cy, radius * math.sqrt(max(0.0, 1.0 - hh * hh)),
+            for h in b[:partition.model.M]:
+                body.append(_circle(cx, cy, radius * math.sqrt(max(0.0, 1.0 - h * h)),
                                     fill="none", stroke="#bbb", stroke_width="0.6"))
-            for collar in partition.collars:
-                h_hi = float(collar["h_hi"])
-                h_lo = float(collar["h_lo"])
+            for h_hi, h_lo, r_count, theta in zip(b, b[1:], rings.r.tolist(),
+                                                  rings.theta.tolist()):
                 lo = max(h_lo, 0.0) if not south else max(-h_hi, 0.0)
                 hi = max(h_hi, 0.0) if not south else max(-h_lo, 0.0)
                 if hi <= lo:
                     continue
                 r_out = radius * math.sqrt(max(0.0, 1.0 - lo * lo))
                 r_in = radius * math.sqrt(max(0.0, 1.0 - hi * hi))
-                r_count = collar["r"]
-                theta = collar["theta"]
                 for i in range(r_count):
                     ang = theta + math.pi / r_count + 2.0 * math.pi * i / r_count
                     ca, sa = math.cos(ang), math.sin(ang)

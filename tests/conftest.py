@@ -9,12 +9,14 @@ from diamondsphere import metrics
 from diamondsphere import (
     DiamondModel,
     ModelSpec,
+    PointSet,
     build_partition,
     generate,
     simple_model,
     sup_discrepancy_exact,
     validate,
 )
+from diamondsphere.geometry import TWO_PI
 
 
 def make_random_spec(rng: np.random.Generator, m_lo: int = 2, m_hi: int = 30,
@@ -72,6 +74,46 @@ def sup_exact_reference(coords: np.ndarray):
     metrics._pinned_caps.
     """
     return metrics._best_over_centers(coords, metrics._cap_centers(coords))
+
+
+def generate_reference(model: DiamondModel) -> PointSet:
+    """The ensemble one parallel at a time, each height from its Fraction.
+
+    The reference for ensemble.generate, which expands the model's ring
+    table over all points at once; the two must agree bit for bit.
+    """
+    N = model.N
+    coords = np.empty((N, 3))
+    parallel = np.empty(N, dtype=np.int64)
+    index_in_parallel = np.empty(N, dtype=np.int64)
+
+    coords[0] = (0.0, 0.0, 1.0)
+    parallel[0] = 0
+    index_in_parallel[0] = 0
+
+    pos = 1
+    for j in range(1, model.p + 1):
+        rj = model.r[j - 1]
+        zf = model.z_exact[j - 1]
+        z = float(zf)
+        # (1 - z)(1 + z) in exact arithmetic first: near the poles this
+        # loses none of the tiny 1 - z^2 to cancellation.
+        s = math.sqrt(float((1 - zf) * (1 + zf)))
+        i = np.arange(rj)
+        phi = TWO_PI * i / rj + model.theta[j - 1]
+        coords[pos:pos + rj, 0] = s * np.cos(phi)
+        coords[pos:pos + rj, 1] = s * np.sin(phi)
+        coords[pos:pos + rj, 2] = z
+        parallel[pos:pos + rj] = j
+        index_in_parallel[pos:pos + rj] = i
+        pos += rj
+
+    coords[pos] = (0.0, 0.0, -1.0)
+    parallel[pos] = model.p + 1
+    index_in_parallel[pos] = 0
+    assert pos == N - 1
+
+    return PointSet(coords, parallel=parallel, index_in_parallel=index_in_parallel)
 
 
 def brute_force_separation(coords: np.ndarray) -> float:

@@ -81,7 +81,7 @@ def test_criterion_02_equal_area(simple_sweep, random_fifty):
         # All rectangles of a ring share h_lo, h_hi, and width, so one
         # exact evaluation per ring covers each of its cells; the two
         # caps are checked individually.
-        for rid in [0, model.N - 1] + [c["first_region"] for c in part.collars]:
+        for rid in [0, model.N - 1] + list(model.n_partial[:-1]):
             region = part.region(rid)
             assert region_area_fraction_exact(part, region) == target
             assert abs(region_area(region) - area) <= 1e-12 * area

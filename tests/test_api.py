@@ -42,6 +42,7 @@ REMOVED_METHODS = [
     (ensemble.DiamondModel, "r_at"),
     (ensemble.DiamondModel, "height_z"),
     (ensemble.DiamondModel, "z"),
+    (partition.Partition, "collars"),
     (partition.Partition, "locate"),
     (partition.Partition, "region_of_point"),
 ]

@@ -101,14 +101,24 @@ def test_certify_agrees_with_per_region_reference(model):
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_vectorized_float_areas_equal_region_area(model):
     part = build_partition(model)
-    for col in part.collars:
-        r = col["r"]
-        phi_lo = partition_mod._phi_lo(col, np.arange(r))
-        areas = (phi_lo + TWO_PI / r - phi_lo) * float(col["h_hi"] - col["h_lo"])
+    for j, r in enumerate(model.r, start=1):
+        phi_lo = partition_mod._phi_lo(model.rings, j, np.arange(r))
+        areas = (phi_lo + TWO_PI / r - phi_lo) * float(part.b_exact[j - 1] - part.b_exact[j])
         for i in range(r):
-            region = part.region(col["first_region"] + i)
+            region = part.region(model.n_partial[j - 1] + i)
             assert phi_lo[i] == region.phi_lo
             assert areas[i] == region_area(region)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_ring_areas_equal_region_area(model):
+    """The ring height 2 r_j / N, rounded from integers, is the float of
+    b_j - b_{j+1} that region_area takes from the exact heights."""
+    part = build_partition(model)
+    for j, r in enumerate(model.r, start=1):
+        areas, _ = partition_mod._ring_areas(model, j)
+        first = model.n_partial[j - 1]
+        assert areas.tolist() == [region_area(part.region(first + i)) for i in range(r)]
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -123,10 +133,11 @@ def test_ring_records_equal_per_cell_records(model):
 def test_tampered_collar_height_fails_at_ring_start(ring):
     model = validate(simple_model(4, theta_policy="seed:2"))
     part, points = build_partition(model), generate(model)
-    col = part._collars[ring]
-    col["h_lo"] += (col["h_hi"] - col["h_lo"]) / 3
+    j, b = range(1, model.p + 1)[ring], list(part.b_exact)
+    b[j] += (b[j - 1] - b[j]) / 3
+    part.b_exact = tuple(b)
     message = _failure(certify, part, points)
-    assert message == f"region {col['first_region']} area fraction is not 1/N"
+    assert message == f"region {model.n_partial[j - 1]} area fraction is not 1/N"
     assert message == _failure(reference_verify, part, points)
 
 
@@ -134,22 +145,22 @@ def test_float_area_failure_names_the_first_bad_cell(monkeypatch):
     """A longitude pushed to 1e9 rounds phi_hi - phi_lo far past 1e-12."""
     model = validate(simple_model(3, theta_policy="seed:1"))
     part, points = build_partition(model), generate(model)
-    target = part._collars[2]
+    target = 3
     phi_lo = partition_mod._phi_lo
 
-    def shifted(col, i):
-        return phi_lo(col, i) + 1e9 * ((np.asarray(i) >= 5) & (col is target))
+    def shifted(rings, j, i):
+        return phi_lo(rings, j, i) + 1e9 * ((np.asarray(i) >= 5) & (j == target))
 
     monkeypatch.setattr(partition_mod, "_phi_lo", shifted)
     message = _failure(certify, part, points)
-    assert message == f"region {target['first_region'] + 5} float area off 4*pi/N"
+    assert message == f"region {model.n_partial[target - 1] + 5} float area off 4*pi/N"
     assert message == _failure(reference_verify, part, points)
 
 
 def test_tampered_cap_height_fails_at_region_0():
     model = validate(simple_model(3))
     part, points = build_partition(model), generate(model)
-    part.h_exact = (part.h_exact[0] - Fraction(1, 1000),) + part.h_exact[1:]
+    part.b_exact = (part.b_exact[0] - Fraction(1, 1000),) + part.b_exact[1:]
     message = _failure(certify, part, points)
     assert message == "region 0 area fraction is not 1/N"
     assert message == _failure(reference_verify, part, points)
@@ -186,11 +197,11 @@ def test_float_area_bound_holds_at_m_4000():
     part = build_partition(model)
     area_f = SPHERE_AREA / model.N
     worst = 0.0
-    for col in part._collars[3990:4010]:
-        areas, rel_tol = partition_mod._ring_areas(col)
+    for j in range(3991, 4011):
+        areas, rel_tol = partition_mod._ring_areas(model, j)
         err = float(np.abs(areas - area_f).max()) / area_f
         assert err <= rel_tol
-        assert rel_tol <= col["r"] * math.ulp(TWO_PI) / math.pi + 1e-15
+        assert rel_tol <= model.r[j - 1] * math.ulp(TWO_PI) / math.pi + 1e-15
         worst = max(worst, err)
     assert worst > 1e-12
 
@@ -201,10 +212,10 @@ def test_float_area_bound_is_tight_for_small_rings(monkeypatch):
     part, points = build_partition(model), generate(model)
     ring_areas = partition_mod._ring_areas
 
-    def skewed(col):
-        areas, rel_tol = ring_areas(col)
-        return areas * (1.0 + 1e-13 * (col["jp"] == 4)), rel_tol
+    def skewed(model, j):
+        areas, rel_tol = ring_areas(model, j)
+        return areas * (1.0 + 1e-13 * (j == 4)), rel_tol
 
     monkeypatch.setattr(partition_mod, "_ring_areas", skewed)
     assert _failure(certify, part, points) == \
-        f"region {part._collars[3]['first_region']} float area off 4*pi/N"
+        f"region {model.n_partial[3]} float area off 4*pi/N"

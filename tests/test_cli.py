@@ -389,6 +389,33 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the outputs that read the ring table, recorded from the per-ring
+# loops it replaced: the partition plot (file) and the polar profile (stdout).
+RING_TABLE_SHA256 = {
+    "plot-simple-4-seed2": (
+        ["plot", "--kind", "partition", "--simple-M", "4", "--theta", "seed:2"],
+        "8ba1f63f9b509d5060441f600ed13bedb4f6762e76002ab264cbbdd8e5f51de5"),
+    "plot-two-piece": (
+        ["plot", "--kind", "partition", "--model", "model.json"],
+        "1141cdf84dbb351d6881d7398ffcbf848165aa16366c8bcb8e0aa652519bac01"),
+    "discrepancy-9-seed3-polar": (
+        ["discrepancy", "--simple-M", "9", "--theta", "seed:3", "--mode", "polar"],
+        "fdfbe5516831ef1b1ded2f42cadacd8e0a176452f65c468429cf0697876a2691"),
+}
+
+
+@pytest.mark.parametrize("label", list(RING_TABLE_SHA256))
+def test_ring_table_outputs_match_golden_digests(label, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _model_file(tmp_path)
+    argv, digest = RING_TABLE_SHA256[label]
+    plot = argv[0] == "plot"
+    code, out, _ = run(argv + (["-o", "plot.svg"] if plot else []), capsys)
+    assert code == 0
+    data = Path("plot.svg").read_bytes() if plot else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 # sha256 of the stdout of the pair-sweep commands, from the sweep when it
 # still had a thread pool; neither runs the BLAS-dependent sup sweep.
 PAIR_SWEEP_SHA256 = {
@@ -532,3 +559,13 @@ def test_count_flags_accept_their_least_value(capsys):
     code, out, _ = run(["discrepancy", "--simple-M", "2", "--mode", "l2-quadrature",
                         "--quad-centers", "1"], capsys)
     assert code == 0 and json.loads(out)["value"] > 0
+
+
+@pytest.mark.parametrize("value", ["1:2:3", "a:b", "5:2", "0:3"],
+                         ids=["three-fields", "not-integers", "lo-above-hi", "lo-zero"])
+def test_bad_m_range_fails_at_parse_time(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", "--kind", "scaling", "--M-range", value, "-o", "x.svg"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --M-range" in err and "LO:HI" in err and repr(value) in err

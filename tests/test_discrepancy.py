@@ -132,6 +132,17 @@ def test_polar_profile_counting_matches_general_models():
                              [float(v) for v in prof.exact])) < 1e-12
 
 
+def test_polar_profile_equals_its_fraction_definition():
+    """The integer form over 2N(N - 1) against |N_{j+1}/N - (1 - z_j)/2|."""
+    rng = np.random.default_rng(31)
+    models = ([validate(simple_model(M, theta_policy="seed:1")) for M in (1, 2, 7)]
+              + [validate(make_random_spec(rng, m_lo=1, m_hi=40)) for _ in range(60)])
+    for model in models:
+        want = [abs(Fraction(model.partial_count(j + 1), model.N)
+                    - (1 - model.height_z_exact(j)) / 2) for j in range(1, model.M + 1)]
+        assert list(polar_cap_profile(model).exact) == want
+
+
 def test_equatorial_matches_polar_max_for_simple():
     for M in (1, 2, 4, 7):
         model = validate(simple_model(M))

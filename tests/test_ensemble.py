@@ -7,16 +7,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_random_spec
+from conftest import generate_reference, make_random_spec
 from diamondsphere import (
     ModelError,
     ModelSpec,
+    build_partition,
     generate,
     model_constants,
     resolve_thetas,
     simple_model,
     validate,
 )
+from test_partition import _reference_models
+
+
+@pytest.fixture(scope="module")
+def table_models():
+    """One-piece M = 1..60 with and without rotations, and 300 random models."""
+    return ([validate(simple_model(M, theta_policy=theta))
+             for M in range(1, 61) for theta in ("zeros", "seed:3")]
+            + _reference_models()[60:])
 
 
 def test_simple_model_counting_closed_forms():
@@ -187,3 +197,24 @@ def test_simple_model_is_simple_flag():
     assert validate(simple_model(3)).is_simple
     other = ModelSpec(M=3, n=1, t=(0, 3), alpha=(0,), beta=(2,))
     assert not validate(other).is_simple
+
+
+def test_generate_equals_the_per_parallel_reference_bit_for_bit(table_models):
+    for model in table_models:
+        got, want = generate(model), generate_reference(model)
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.parallel.tobytes() == want.parallel.tobytes()
+        assert got.index_in_parallel.tobytes() == want.index_in_parallel.tobytes()
+
+
+def test_ring_table_rounds_each_exact_value_once(table_models):
+    for model in table_models:
+        rings, b_exact = model.rings, build_partition(model).b_exact
+        assert rings.r.tolist() == list(model.r)
+        assert rings.first.tolist() == list(model.n_partial[:-1])
+        assert rings.theta is model.theta
+        assert rings.z.tolist() == [float(z) for z in model.z_exact]
+        assert rings.s.tolist() == [math.sqrt(float((1 - z) * (1 + z))) for z in model.z_exact]
+        assert rings.b.tolist() == [float(b) for b in b_exact]
+        for column in vars(rings).values():
+            assert not column.flags.writeable

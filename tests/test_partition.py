@@ -30,7 +30,7 @@ def test_region_inventory_m2(simple_suite):
     assert kinds[0] == "cap_north" and kinds[-1] == "cap_south"
     assert all(k == "rect" for k in kinds[1:-1])
     assert part.h_exact == (Fraction(8, 9), Fraction(4, 9))
-    equator = part.collars[1]
+    equator = {"h_hi": part.b_exact[1], "h_lo": part.b_exact[2]}
     assert equator["h_hi"] == Fraction(4, 9)
     assert equator["h_lo"] == Fraction(-4, 9)
 
@@ -119,12 +119,13 @@ def test_matching_random_models_with_rotations():
 def test_interleaving_reads_the_collar_heights():
     model = validate(simple_model(3))
     part = build_partition(model)
-    col = part._collars[1]
-    z = model.height_z_exact(col["jp"])
-    col["h_lo"] = (z + col["h_hi"]) / 2
+    j, b = 2, list(part.b_exact)
+    z = model.height_z_exact(j)
+    b[j] = (z + b[j - 1]) / 2
+    part.b_exact = tuple(b)
     report = verify_matching(part, generate(model))
     assert not report.interleaving_ok and not report.ok
-    assert report.failures[0].startswith(f"parallel {col['jp']}: z = {z} outside (")
+    assert report.failures[0].startswith(f"parallel {j}: z = {z} outside (")
 
 
 def test_matching_convention_point_vs_region(simple_suite):
@@ -132,7 +133,8 @@ def test_matching_convention_point_vs_region(simple_suite):
     point_to_region = verify_matching(part, points).point_to_region
     # Within a ring of r cells, region i holds point (i + 1) mod r, so
     # point i's home is one cell back.
-    for col in part.collars:
+    for col in ({"r": r, "first_region": n, "first_point": n}
+                for r, n in zip(model.r, model.n_partial)):
         r = col["r"]
         for i in range(r):
             reg = part.region(col["first_region"] + i)
@@ -282,7 +284,7 @@ def test_boundary_formula_equals_the_recurrence_and_mirror_rule():
         part = build_partition(model)
         h, heights = recurrence_collar_heights(model)
         assert part.h_exact == tuple(h)
-        assert [(c["h_hi"], c["h_lo"]) for c in part.collars] == heights
+        assert list(zip(part.b_exact, part.b_exact[1:])) == heights
         hf = np.array([float(v) for v in h])
         want = np.concatenate([[-1.0], -hf, hf[::-1], [1.0]])
         assert part._asc_bounds.tobytes() == want.tobytes()

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen, partition, verify, metrics, discrepancy, plot.
+Subcommands: gen, partition, verify, metrics, discrepancy, constants, plot.
 Exit codes: 0 success, 1 unexpected runtime error, 2 invalid model or
 arguments, 3 verification failure.  All output is deterministic for a
 given command line, so re-runs are byte-identical.

@@ -485,65 +485,46 @@ def _sweep_rows(dots: np.ndarray):
     a fixed center the deviation is piecewise monotone in the cap height
     between consecutive dot values, so the maximum over every cap with
     this center is attained at a break, counting closed on the excess
-    side and open on the deficit side.  Ties within BOUNDARY_TOL share a
-    break.  Returns (value, t, side) arrays, side +1 closed / -1 open.
+    side and open on the deficit side.  Break d_k counts by count_in_cap's
+    rules, closed #{d >= d_k - BOUNDARY_TOL} and open
+    #{d > d_k + BOUNDARY_TOL}, so the witness reproduces the value: k + 1
+    and k in a row whose sorted gaps all exceed BOUNDARY_TOL, and two
+    searchsorted calls in a row with a tie.  Returns (value, t, closed)
+    arrays, closed True where the closed count gives the value, also on a
+    tie with the open count.
     """
     rows, n = dots.shape
     d = -np.sort(-dots, axis=1)  # descending
-    idx = np.arange(n)
-    is_start = np.ones((rows, n), dtype=bool)
-    is_start[:, 1:] = (d[:, :-1] - d[:, 1:]) > BOUNDARY_TOL
-    first = np.maximum.accumulate(np.where(is_start, idx, 0), axis=1)
-    is_end = np.ones((rows, n), dtype=bool)
-    is_end[:, :-1] = is_start[:, 1:]
-    last_rev = np.minimum.accumulate(
-        np.where(is_end, idx, n - 1)[:, ::-1], axis=1
-    )
-    last = last_rev[:, ::-1]
-
-    # Chains wider than the tolerance band would make the group counts
-    # drift from the cutoff definition; recount those rows exactly.
-    spread = np.take_along_axis(d, first, 1) - np.take_along_axis(d, last, 1)
-    closed = (last + 1).astype(float)
-    opened = first.astype(float)
-    for b in np.nonzero((spread > BOUNDARY_TOL).any(axis=1))[0]:
-        asc = d[b, ::-1].copy()
-        closed[b] = n - np.searchsorted(asc, d[b] - BOUNDARY_TOL, side="left")
-        opened[b] = n - np.searchsorted(asc, d[b] + BOUNDARY_TOL, side="right")
-
     area = (1.0 - d) / 2.0
-    dev_closed = closed / n - area
-    dev_open = area - opened / n
-    use_closed = dev_closed >= dev_open
-    dev = np.where(use_closed, dev_closed, dev_open)
-    kbest = np.argmax(dev, axis=1)
-    take = (np.arange(rows), kbest)
-    return dev[take], d[take], np.where(use_closed[take], 1, -1)
+    dev_closed = np.arange(1, n + 1) / n - area
+    dev_open = area - np.arange(n) / n
+    for b in np.flatnonzero((d[:, :-1] - d[:, 1:] <= BOUNDARY_TOL).any(axis=1)):
+        asc = d[b, ::-1]
+        dev_closed[b] = (n - np.searchsorted(asc, d[b] - BOUNDARY_TOL, side="left")) / n - area[b]
+        dev_open[b] = area[b] - (n - np.searchsorted(asc, d[b] + BOUNDARY_TOL, side="right")) / n
+    dev = np.maximum(dev_closed, dev_open)
+    take = (np.arange(rows), np.argmax(dev, axis=1))
+    return dev[take], d[take], dev_closed[take] >= dev_open[take]
 
 
-def _best_over_centers(coords: np.ndarray, center_blocks) -> SupDiscrepancy:
-    best_val = -np.inf
-    best_center = None
-    best_t = 0.0
-    best_side = 1
-    for centers in center_blocks:
-        if len(centers) == 0:
-            continue
-        vals, ts, sides = _sweep_rows(centers @ coords.T)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_center = centers[k]
-            best_t = float(ts[k])
-            best_side = int(sides[k])
-    cap = SphericalCap(UnitVec.from_array(best_center), max(-1.0, min(1.0, best_t)))
-    return SupDiscrepancy(best_val, cap, "closed" if best_side > 0 else "open")
+def _best_witness(blocks) -> SupDiscrepancy:
+    """The first center with the largest value over blocks of (centers,
+    value, t, closed), with its cap of height t, closed or open."""
+    best = (-np.inf, None, 0.0, True)
+    for centers, value, t, closed in blocks:
+        if len(centers):
+            k = int(np.argmax(value))
+            if value[k] > best[0]:
+                best = (float(value[k]), centers[k], float(t[k]), bool(closed[k]))
+    value, center, t, closed = best
+    cap = SphericalCap(UnitVec.from_array(center), max(-1.0, min(1.0, t)))
+    return SupDiscrepancy(value, cap, "closed" if closed else "open")
 
 
 # Dot products per block of centers in sup_discrepancy_estimate and
-# l2_discrepancy_quadrature.  The sup sweep keeps several same-sized int
-# and bool copies of a block, so this sets the estimate's peak memory;
-# results of either routine do not depend on it.
+# l2_discrepancy_quadrature.  The sup sweep keeps several same-sized float
+# copies of a block, so this sets the estimate's peak memory; results of
+# either routine do not depend on it.
 _SUP_BLOCK_DOTS = 2_000_000
 
 
@@ -574,8 +555,8 @@ def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
 
     N + C(N, 2) + C(N, 3) candidates at N dots each: O(N^4), with no
     sort; the max_points guard keeps accidental large inputs out.
-    _best_over_centers over _cap_centers, which sweeps every height at
-    both orientations, is the slower reference in the tests.
+    tests/conftest.py::sup_exact_reference, which sweeps every height at
+    _cap_centers' centers in both orientations, is the slower reference.
     """
     coords = _as_coords(points)
     n = len(coords)
@@ -584,10 +565,7 @@ def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
     if n < 2:
         raise ValueError("need at least two points")
 
-    best = (-np.inf, None, 0.0, "closed")
-    for centers, pins in _pinned_caps(coords):
-        if len(centers) == 0:
-            continue
+    def pinned_deviations(centers, pins):
         dots = centers @ coords.T
         pinned = np.take_along_axis(dots, pins, axis=1)
         hi, lo = pinned.max(axis=1), pinned.min(axis=1)
@@ -595,15 +573,10 @@ def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
         opened = np.count_nonzero(dots > (lo + BOUNDARY_TOL)[:, None], axis=1)
         dev_closed = closed / n - (1.0 - hi) / 2.0
         dev_open = (1.0 - lo) / 2.0 - opened / n
-        dev = np.maximum(dev_closed, dev_open)
-        k = int(np.argmax(dev))
-        if dev[k] > best[0]:
-            best = ((float(dev[k]), centers[k], float(hi[k]), "closed")
-                    if dev_closed[k] >= dev_open[k] else
-                    (float(dev[k]), centers[k], float(lo[k]), "open"))
-    value, center, t, side = best
-    cap = SphericalCap(UnitVec.from_array(center), max(-1.0, min(1.0, t)))
-    return SupDiscrepancy(value, cap, side)
+        use_closed = dev_closed >= dev_open
+        return centers, np.maximum(dev_closed, dev_open), np.where(use_closed, hi, lo), use_closed
+
+    return _best_witness(pinned_deviations(*block) for block in _pinned_caps(coords))
 
 
 # Index triples per block of _pinned_caps' circumcircle candidates.
@@ -676,7 +649,8 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
     centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
-    return _best_over_centers(coords, _blocked([poles, centers], block))
+    return _best_witness((c, *_sweep_rows(c @ coords.T))
+                         for c in _blocked([poles, centers], block))
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +763,8 @@ def compute_metrics(points: PointSet,
                     sup_seed: int = 0,
                     l2_quadrature: bool = False) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end."""
+    if sup_mode not in ("exact", "estimate", None):
+        raise ValueError(f"unknown sup mode {sup_mode!r}")
     n = len(points)
     rep = MetricsReport(n_points=n)
 
@@ -813,8 +789,6 @@ def compute_metrics(points: PointSet,
     if l2_quadrature:
         rep.d_l2_quadrature = l2_discrepancy_quadrature(points)
 
-    if sup_mode not in ("exact", "estimate", None):
-        raise ValueError(f"unknown sup mode {sup_mode!r}")
     if sup_mode is not None:
         sup = (sup_discrepancy_exact(points) if sup_mode == "exact" else
                sup_discrepancy_estimate(points, n_samples=sup_samples, seed=sup_seed))

@@ -16,7 +16,8 @@ from diamondsphere import (
     sup_discrepancy_exact,
     validate,
 )
-from diamondsphere.geometry import TWO_PI
+from diamondsphere.geometry import BOUNDARY_TOL, TWO_PI, SphericalCap, UnitVec
+from diamondsphere.metrics import SupDiscrepancy
 
 
 def make_random_spec(rng: np.random.Generator, m_lo: int = 2, m_hi: int = 30,
@@ -66,6 +67,73 @@ def mean_chord_monte_carlo(n_pairs: int = 2_000_000, seed: int = 0) -> float:
     return math.fsum(parts) / n_pairs
 
 
+def sweep_rows_reference(dots: np.ndarray):
+    """Per row: the largest cap deviation over all break heights.
+
+    Rows are dot products of the point set against one center each.  For
+    a fixed center the deviation is piecewise monotone in the cap height
+    between consecutive dot values, so the maximum over every cap with
+    this center is attained at a break, counting closed on the excess
+    side and open on the deficit side.  Ties within BOUNDARY_TOL share a
+    break.  Returns (value, t, side) arrays, side +1 closed / -1 open.
+
+    The reference for metrics._sweep_rows, which counts every break by
+    count_in_cap's rules instead of by chains of ties.
+    """
+    rows, n = dots.shape
+    d = -np.sort(-dots, axis=1)  # descending
+    idx = np.arange(n)
+    is_start = np.ones((rows, n), dtype=bool)
+    is_start[:, 1:] = (d[:, :-1] - d[:, 1:]) > BOUNDARY_TOL
+    first = np.maximum.accumulate(np.where(is_start, idx, 0), axis=1)
+    is_end = np.ones((rows, n), dtype=bool)
+    is_end[:, :-1] = is_start[:, 1:]
+    last_rev = np.minimum.accumulate(
+        np.where(is_end, idx, n - 1)[:, ::-1], axis=1
+    )
+    last = last_rev[:, ::-1]
+
+    # Chains wider than the tolerance band would make the group counts
+    # drift from the cutoff definition; recount those rows exactly.
+    spread = np.take_along_axis(d, first, 1) - np.take_along_axis(d, last, 1)
+    closed = (last + 1).astype(float)
+    opened = first.astype(float)
+    for b in np.nonzero((spread > BOUNDARY_TOL).any(axis=1))[0]:
+        asc = d[b, ::-1].copy()
+        closed[b] = n - np.searchsorted(asc, d[b] - BOUNDARY_TOL, side="left")
+        opened[b] = n - np.searchsorted(asc, d[b] + BOUNDARY_TOL, side="right")
+
+    area = (1.0 - d) / 2.0
+    dev_closed = closed / n - area
+    dev_open = area - opened / n
+    use_closed = dev_closed >= dev_open
+    dev = np.where(use_closed, dev_closed, dev_open)
+    kbest = np.argmax(dev, axis=1)
+    take = (np.arange(rows), kbest)
+    return dev[take], d[take], np.where(use_closed[take], 1, -1)
+
+
+def best_over_centers_reference(coords: np.ndarray, center_blocks) -> SupDiscrepancy:
+    """sweep_rows_reference over blocks of centers: the first center with
+    the largest value."""
+    best_val = -np.inf
+    best_center = None
+    best_t = 0.0
+    best_side = 1
+    for centers in center_blocks:
+        if len(centers) == 0:
+            continue
+        vals, ts, sides = sweep_rows_reference(centers @ coords.T)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_center = centers[k]
+            best_t = float(ts[k])
+            best_side = int(sides[k])
+    cap = SphericalCap(UnitVec.from_array(best_center), max(-1.0, min(1.0, best_t)))
+    return SupDiscrepancy(best_val, cap, "closed" if best_side > 0 else "open")
+
+
 def sup_exact_reference(coords: np.ndarray):
     """Every break height at every candidate center, in both orientations.
 
@@ -73,7 +141,7 @@ def sup_exact_reference(coords: np.ndarray):
     at its own height only; both take their centers from
     metrics._pinned_caps.
     """
-    return metrics._best_over_centers(coords, metrics._cap_centers(coords))
+    return best_over_centers_reference(coords, metrics._cap_centers(coords))
 
 
 def generate_reference(model: DiamondModel) -> PointSet:

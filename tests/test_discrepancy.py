@@ -14,6 +14,7 @@ from conftest import (
     mean_chord_monte_carlo,
     random_unit_points,
     sup_exact_reference,
+    sweep_rows_reference,
 )
 from diamondsphere import metrics
 from diamondsphere import (
@@ -287,9 +288,14 @@ def test_sup_estimate_independent_of_block_size(budget, monkeypatch):
     assert got == want
 
 
-def test_sup_estimate_witness_is_achieved(simple_suite):
-    _, pts, _ = simple_suite[3]
-    est = sup_discrepancy_estimate(pts, n_samples=500, seed=1)
+# The pole rows of every input hold ties (a parallel shares one dot), and
+# three random centers of the report-size input (M = 40) do too.
+@pytest.mark.parametrize("M, theta, samples, seed", [
+    (3, "zeros", 500, 1), (12, "seed:5", 2000, 2), (40, "seed:3", 2000, 3),
+], ids=["M3-zeros", "M12-seed:5", "M40-seed:3"])
+def test_sup_estimate_witness_is_achieved(M, theta, samples, seed):
+    pts = generate(validate(simple_model(M, theta_policy=theta)))
+    est = sup_discrepancy_estimate(pts, n_samples=samples, seed=seed)
     k = count_in_cap(pts, est.witness, mode=est.side)
     dev = abs(k / len(pts) - est.witness.area_fraction)
     assert math.isclose(dev, est.value, abs_tol=1e-12)
@@ -390,6 +396,57 @@ def test_sup_estimate_dominates_random_heights():
         swept, _, _ = metrics._sweep_rows(dots)
         assert np.all(dev <= swept + BOUNDARY_TOL)
         assert float(dev.max()) <= est.value + BOUNDARY_TOL
+
+
+def test_best_witness_keeps_the_first_largest_value():
+    # Both sup kernels reduce their blocks here, so a tie across blocks
+    # must keep the earlier center whatever the block size.
+    e = np.eye(3)
+    blocks = [(e[:0], np.empty(0), np.empty(0), np.empty(0, bool)),
+              (e[:1], np.array([0.25]), np.array([0.5]), np.array([False])),
+              (e[1:], np.array([0.25, 0.25]), np.array([0.1, 0.2]), np.array([True, True]))]
+    sup = metrics._best_witness(iter(blocks))
+    assert (sup.value, sup.witness.center.x, sup.witness.t, sup.side) == (0.25, 1.0, 0.5, "open")
+
+
+def sweep_rows_inputs(name: str) -> np.ndarray:
+    """Dot rows for the differential test of metrics._sweep_rows."""
+    rng = np.random.default_rng(41)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    if name.startswith("cap-centers-"):
+        coords = generate(validate(simple_model(int(name[-1])))).coords
+        return np.vstack([c @ coords.T for c in metrics._cap_centers(coords)])
+    if name.startswith("synthetic-"):
+        dots = rng.uniform(-1.0, 1.0, (300, 55))
+        k = np.arange(5)
+        if name == "synthetic-duplicates":
+            dots[:, 40:] = dots[:, :15]
+        elif name == "synthetic-narrow-chain":  # spread 8e-11 <= BOUNDARY_TOL
+            dots[:, :5] = dots[:, 5:6] + 2e-11 * k
+        else:  # gaps of 6e-11, spread 2.4e-10 > BOUNDARY_TOL
+            dots[:, :5] = dots[:, 5:6] + 6e-11 * k
+        return dots
+    if name.startswith("random-"):
+        coords = random_unit_points(rng, int(name.split("-")[1]))
+    else:
+        M, theta = name[1:].split("-", 1)
+        coords = generate(validate(simple_model(int(M), theta_policy=theta))).coords
+    return np.vstack([poles, random_unit_points(rng, 2000)]) @ coords.T
+
+
+@pytest.mark.parametrize("name", (
+    [f"M{M}-{theta}" for M in (*range(1, 13), 40) for theta in ("zeros", "seed:3")]
+    + ["random-5", "random-20", "random-257"]
+    + [f"cap-centers-{M}" for M in (1, 2, 3)]
+    + ["synthetic-duplicates", "synthetic-narrow-chain", "synthetic-wide-chain"]
+))
+def test_sweep_rows_matches_tie_chain_reference(name):
+    dots = sweep_rows_inputs(name)
+    value, t, closed = metrics._sweep_rows(dots)
+    want_value, want_t, want_side = sweep_rows_reference(dots)
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(t, want_t)
+    assert np.array_equal(np.where(closed, 1, -1), want_side)
 
 
 def test_l2_quadrature_matches_rational_integral():

@@ -14,11 +14,14 @@ from diamondsphere import (
     covering_radius,
     covering_upper_bound,
     generate,
+    l2_discrepancy_stolarsky,
     log_energy,
+    metrics,
     riesz_energy,
     separation,
     simple_model,
     sum_distances,
+    sup_discrepancy_estimate,
     sup_discrepancy_exact,
     validate,
 )
@@ -95,6 +98,28 @@ def test_energies_invariant_under_rotation_and_permutation():
     assert math.isclose(sum_distances(pts), sum_distances(moved), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("M", [3, 12, 20])
+def test_separation_and_l2_invariant_under_rotation_and_permutation(M):
+    rng = np.random.default_rng(M)
+    pts = generate(validate(simple_model(M)))
+    moved = PointSet((pts.coords @ rotation_matrix(rng).T)[rng.permutation(len(pts))])
+    assert math.isclose(separation(pts), separation(moved), rel_tol=1e-12)
+    assert math.isclose(sum_distances(pts), sum_distances(moved), rel_tol=1e-12)
+    # D^2 = (4/3 - S/N^2)/8 cancels most digits of S, so an ulp of S moves
+    # D by up to 1e4 ulp at M = 20; D^2 keeps the error of S/N^2.
+    assert math.isclose(l2_discrepancy_stolarsky(pts) ** 2,
+                        l2_discrepancy_stolarsky(moved) ** 2, rel_tol=0, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("M", [3, 12, 20])
+def test_sup_estimate_invariant_under_permutation(M):
+    pts = generate(validate(simple_model(M)))
+    perm = np.random.default_rng(M).permutation(len(pts))
+    want = sup_discrepancy_estimate(pts, n_samples=2000, seed=M)
+    assert sup_discrepancy_estimate(PointSet(pts.coords[perm]), n_samples=2000,
+                                    seed=M).value == want.value
+
+
 def test_covering_octahedron(octahedron, octahedron_points):
     part = build_partition(octahedron)
     cov = covering_radius(octahedron_points, partition=part)
@@ -146,6 +171,15 @@ def test_compute_metrics_minimal_modes():
     assert d["covering_upper_bound"] == 2.0  # trivial without a partition
     assert "mesh_ratio" not in d
     assert d["separation"] > 0
+
+
+def test_compute_metrics_rejects_sup_mode_before_any_work(octahedron_points, monkeypatch):
+    def fail(points):
+        raise AssertionError("separation ran before the sup mode was checked")
+
+    monkeypatch.setattr(metrics, "separation", fail)
+    with pytest.raises(ValueError, match="unknown sup mode"):
+        compute_metrics(octahedron_points, sup_mode="bogus")
 
 
 def test_compute_metrics_constants_for_simple_model():

@@ -491,7 +491,8 @@ def _sweep_rows(dots: np.ndarray):
     and k in a row whose sorted gaps all exceed BOUNDARY_TOL, and two
     searchsorted calls in a row with a tie.  Returns (value, t, closed)
     arrays, closed True where the closed count gives the value, also on a
-    tie with the open count.
+    tie with the open count.  sup_discrepancy_estimate sends only the rows
+    whose _sweep_bound reaches its best value so far.
     """
     rows, n = dots.shape
     d = -np.sort(-dots, axis=1)  # descending
@@ -505,6 +506,45 @@ def _sweep_rows(dots: np.ndarray):
     dev = np.maximum(dev_closed, dev_open)
     take = (np.arange(rows), np.argmax(dev, axis=1))
     return dev[take], d[take], dev_closed[take] >= dev_open[take]
+
+
+def _sweep_bound(dots: np.ndarray) -> np.ndarray:
+    """Per row: an upper bound on _sweep_rows' value, with no sort.
+
+    B buckets of width w = 2/B split [-1, 1]; bucket q holds the dots d
+    with q = int((d + 1) B/2), clipped to [0, B - 1], and S_q counts the
+    dots in buckets q and above.  A break d_k in bucket q lies in
+    [lo_q, hi_q].  Its closed count #{d >= d_k - BOUNDARY_TOL} holds only
+    dots of bucket q - 1 and above, as BOUNDARY_TOL < w, so it is at most
+    S_{q-1}, and its area (1 - d_k)/2 is at least (1 - hi_q)/2.  Its open
+    count #{d > d_k + BOUNDARY_TOL} holds every dot of bucket q + 2 and
+    above, at least S_{q+2}, and its area is at most (1 - lo_q)/2.  So
+    the row's value is at most the largest, over the buckets that hold a
+    dot, of S_{q-1}/n - (1 - hi_q)/2 and (1 - lo_q)/2 - S_{q+2}/n.  The
+    bucket index is monotone in d, so rounding moves a dot across at most
+    an edge the reach of one bucket already covers; 1e-12 more covers the
+    rounding of the areas and of the bound itself.
+    """
+    rows, n = dots.shape
+    # B = 4 sqrt(N) was the fastest of 2, 4, 8 and 16 sqrt(N) at every N
+    # from 102 to 40,002: at 2 sqrt(N) the bound prunes no row, and above 4
+    # the B-wide passes cost more than the few rows they prune.  The bound
+    # costs O(N + B) a row against the sweep's O(N log N) sort.
+    B = int(4 * math.sqrt(n))
+    bucket = ((dots + 1.0) * (B / 2)).astype(np.intp)
+    np.clip(bucket, 0, B - 1, out=bucket)
+    bucket += np.arange(0, rows * B, B)[:, None]
+    counts = np.bincount(bucket.ravel(), minlength=rows * B).reshape(rows, B)
+    # reach[:, j] = S_{j-1}, with S_{-1} = n and S_B = S_{B+1} = 0
+    reach = np.zeros((rows, B + 3))
+    reach[:, 0] = n
+    reach[:, 1:B + 1] = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+    reach /= n
+    q = np.arange(B)
+    closed = reach[:, :B] - (1.0 - (q + 1) / B)
+    opened = (1.0 - q / B) - reach[:, 3:]
+    bound = np.where(counts > 0, np.maximum(closed, opened), -np.inf)
+    return bound.max(axis=1) + 1e-12
 
 
 def _best_witness(blocks) -> SupDiscrepancy:
@@ -522,9 +562,10 @@ def _best_witness(blocks) -> SupDiscrepancy:
 
 
 # Dot products per block of centers in sup_discrepancy_estimate and
-# l2_discrepancy_quadrature.  The sup sweep keeps several same-sized float
-# copies of a block, so this sets the estimate's peak memory; results of
-# either routine do not depend on it.
+# l2_discrepancy_quadrature.  The estimate keeps the block's dots, and its
+# bucket bound one float and one index copy of them, beside the sweep's
+# copies of the few rows that pass the bound, so this sets the estimate's
+# peak memory; results of either routine do not depend on it.
 _SUP_BLOCK_DOTS = 2_000_000
 
 
@@ -639,18 +680,40 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
     so the estimate never falls below those).  For each center the sweep
     attains the maximum over every cap height, so no other height with
     that center can give more.
+
+    The poles go first, and a later block sorts and sweeps only the rows
+    whose _sweep_bound reaches the best value found so far.  A skipped
+    row's value lies at or below its bound, strictly below a value an
+    earlier row attains, so it is never the first row with the largest
+    value: the result is the one every row swept would give.
+    tests/conftest.py::sup_estimate_reference, which sweeps every row, is
+    the reference.
     """
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+        raise ValueError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     coords = _as_coords(points)
     n = len(coords)
+    if n < 1:
+        raise ValueError("sup estimate needs at least one point")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, TWO_PI, n_samples)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
-    return _best_witness((c, *_sweep_rows(c @ coords.T))
-                         for c in _blocked([poles, centers], block))
+    block = max(64, int(_SUP_BLOCK_DOTS // n))
+    best = -np.inf
+
+    def pruned_sweeps():
+        nonlocal best
+        for c in _blocked([poles, centers], block):
+            dots = c @ coords.T
+            keep = _sweep_bound(dots) >= best
+            value, t, closed = _sweep_rows(dots[keep])
+            best = max(best, value.max(initial=-np.inf))
+            yield c[keep], value, t, closed
+
+    return _best_witness(pruned_sweeps())
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +729,16 @@ def _stolarsky_l2(distance_sum: float, n: int) -> float:
 
 
 def l2_discrepancy_stolarsky(points) -> float:
-    """L2 cap discrepancy via the distance-sum identity (see module head)."""
+    """L2 cap discrepancy via the distance-sum identity (see module head).
+
+    D = sqrt((4/3 - S/N^2)/8) cancels most digits of the distance sum S:
+    a rounding error e in S/N^2 moves D by e/(16 D) absolute, and S/N^2
+    is near 4/3, so one ulp of it is a relative error of about 2e-17/D^2
+    in D.  That is 4e-14 at M = 3 (N = 38), 1e-11 at M = 20 (N = 1,602),
+    where about 11 of the 17 printed digits are sound, and 1.4e-9 at
+    M = 100; the loss grows like N^(3/2).  D^2 keeps the absolute error
+    of S/N^2, so tests compare D^2 (at abs 1e-15), not D.
+    """
     coords = _as_coords(points)
     n = len(coords)
     return _stolarsky_l2(0.0 if n == 1 else sum_distances(coords), n)

@@ -134,6 +134,27 @@ def best_over_centers_reference(coords: np.ndarray, center_blocks) -> SupDiscrep
     return SupDiscrepancy(best_val, cap, "closed" if best_side > 0 else "open")
 
 
+def sup_estimate_reference(points, n_samples: int = 10_000,
+                           seed: int = 0) -> SupDiscrepancy:
+    """Randomized lower estimate of the cap discrepancy, every row swept.
+
+    The reference for metrics.sup_discrepancy_estimate, which sorts and
+    sweeps only the rows whose bucket bound reaches the running best; the
+    two must return the same value, center, height and side.
+    """
+    coords = metrics._as_coords(points)
+    n = len(coords)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, n_samples)
+    phi = rng.uniform(0.0, TWO_PI, n_samples)
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    block = max(64, int(metrics._SUP_BLOCK_DOTS // max(n, 1)))
+    return metrics._best_witness((c, *metrics._sweep_rows(c @ coords.T))
+                                 for c in metrics._blocked([poles, centers], block))
+
+
 def sup_exact_reference(coords: np.ndarray):
     """Every break height at every candidate center, in both orientations.
 

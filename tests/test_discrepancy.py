@@ -13,6 +13,7 @@ from conftest import (
     make_random_spec,
     mean_chord_monte_carlo,
     random_unit_points,
+    sup_estimate_reference,
     sup_exact_reference,
     sweep_rows_reference,
 )
@@ -447,6 +448,75 @@ def test_sweep_rows_matches_tie_chain_reference(name):
     assert np.array_equal(value, want_value)
     assert np.array_equal(t, want_t)
     assert np.array_equal(np.where(closed, 1, -1), want_side)
+
+
+def bucket_edge_rows() -> np.ndarray:
+    """Rows of 64 dots (32 buckets) piled on bucket edges, on +-1 and
+    within BOUNDARY_TOL either side of an edge, where a bound that drops
+    a bucket of reach or an area edge falls below the swept value."""
+    rng = np.random.default_rng(5)
+    edges = -1.0 + np.arange(33) / 16
+    offsets = BOUNDARY_TOL * np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+    piles = rng.choice(edges, (2000, 4))
+    dots = np.take_along_axis(piles, rng.integers(0, 4, (2000, 64)), axis=1)
+    dots = np.clip(dots + rng.choice(offsets, dots.shape), -1.0, 1.0)
+    ones = np.ones(64)
+    return np.vstack([dots, ones, -ones, np.r_[ones[:32], -ones[:32]]])
+
+
+@pytest.mark.parametrize("name", (
+    [f"cap-centers-{M}" for M in (1, 2, 3)]
+    + ["synthetic-duplicates", "synthetic-narrow-chain", "synthetic-wide-chain",
+       "bucket-edges"]
+))
+def test_sweep_bound_dominates_every_row(name):
+    dots = bucket_edge_rows() if name == "bucket-edges" else sweep_rows_inputs(name)
+    value, _, _ = metrics._sweep_rows(dots)
+    assert np.all(metrics._sweep_bound(dots) >= value)
+
+
+def sup_estimate_inputs(name: str) -> PointSet:
+    """Point sets for the differential test of sup_discrepancy_estimate."""
+    rng = np.random.default_rng(43)
+    if name == "multi-piece":
+        return generate(validate(make_random_spec(rng, m_lo=8, m_hi=20,
+                                                  theta_policy="seed:4")))
+    if name == "repeated-rows":
+        return PointSet(random_unit_points(rng, 30)[np.arange(45) % 30])
+    if name.startswith("random-"):
+        return PointSet(random_unit_points(rng, int(name.split("-")[1])))
+    M, theta = name[1:].split("-", 1)
+    return generate(validate(simple_model(int(M), theta_policy=theta)))
+
+
+@pytest.mark.parametrize("name", (
+    [f"M{M}-{theta}" for M in (*range(1, 13), 40) for theta in ("zeros", "seed:3")]
+    + ["multi-piece", "random-5", "random-20", "random-257", "repeated-rows"]
+))
+def test_sup_estimate_matches_unpruned_reference(name):
+    pts = sup_estimate_inputs(name)
+    got = sup_discrepancy_estimate(pts, n_samples=2000, seed=8)
+    want = sup_estimate_reference(pts, n_samples=2000, seed=8)
+    assert got.value == want.value
+    assert got.witness.center.as_array().tolist() == want.witness.center.as_array().tolist()
+    assert got.witness.t == want.witness.t
+    assert got.side == want.side
+
+
+def test_sup_estimate_sweeps_few_rows_of_an_ensemble(monkeypatch):
+    # The bucket bound leaves the exact sweep only the rows that can beat
+    # the polar value: at M = 40 that is the two poles of 2,002 rows.
+    pts = generate(validate(simple_model(40, theta_policy="seed:3")))
+    sweep, swept = metrics._sweep_rows, []
+    monkeypatch.setattr(metrics, "_sweep_rows", lambda d: (swept.append(len(d)), sweep(d))[1])
+    sup_discrepancy_estimate(pts, n_samples=2000, seed=3)
+    assert sum(swept) < 20
+
+
+@pytest.mark.parametrize("n_samples", [-1, 2.5])
+def test_sup_estimate_rejects_a_bad_sample_count(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        sup_discrepancy_estimate(np.eye(3), n_samples=n_samples)
 
 
 def test_l2_quadrature_matches_rational_integral():

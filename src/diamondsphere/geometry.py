@@ -111,12 +111,7 @@ class PointSet:
 
     def __init__(self, coords, parallel=None, index_in_parallel=None):
         coords = np.ascontiguousarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
-            raise ValueError("coords must be a nonempty (N, 3) array")
-        n2 = np.einsum("ij,ij->i", coords, coords)
-        worst = float(np.max(np.abs(n2 - 1.0)))
-        if not worst <= UNIT_NORM_TOL:  # NaN compares False both ways
-            raise ValueError(f"row norms deviate from 1 by up to {worst:.3e}")
+        _check_unit_rows(coords)
         coords.setflags(write=False)
         self.coords = coords
         for name, arr in (("parallel", parallel), ("index_in_parallel", index_in_parallel)):
@@ -135,10 +130,23 @@ class PointSet:
         return self.parallel is not None and self.index_in_parallel is not None
 
 
+def _check_unit_rows(coords: np.ndarray) -> None:
+    """ValueError unless coords is a nonempty (N, 3) array of unit rows (NaN fails)."""
+    if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
+        raise ValueError("coords must be a nonempty (N, 3) array")
+    n2 = np.einsum("ij,ij->i", coords, coords)
+    worst = float(np.max(np.abs(n2 - 1.0)))
+    if not worst <= UNIT_NORM_TOL:  # NaN compares False both ways
+        raise ValueError(f"row norms deviate from 1 by up to {worst:.3e}")
+
+
 def _as_coords(points) -> np.ndarray:
+    """A PointSet's rows, or an array checked by PointSet's rule and left writable."""
     if isinstance(points, PointSet):
         return points.coords
-    return np.ascontiguousarray(points, dtype=float)
+    coords = np.ascontiguousarray(points, dtype=float)
+    _check_unit_rows(coords)
+    return coords
 
 
 def count_in_cap(points, cap: SphericalCap, mode: str = "closed") -> int:

@@ -83,9 +83,11 @@ def separation(points) -> float:
     4/sqrt(N) lies above the best packing separation of N points (about
     3.8/sqrt(N)), so one sweep of about 6.5 N pairs is the rule.  Squared
     distances use the arithmetic of a plain all-pairs scan, so the result
-    is the same float.
+    is the same float.  The sweep needs no sphere, so any finite rows are
+    accepted, on the sphere or off it.
     """
-    coords = _as_coords(points)
+    coords = np.ascontiguousarray(points.coords if isinstance(points, PointSet) else points,
+                                  dtype=float)
     if len(coords) < 2:
         raise ValueError("separation needs at least two points")
     if not np.isfinite(coords).all():
@@ -158,8 +160,8 @@ def _range_blocks(lo: np.ndarray, hi: np.ndarray):
 # covering
 
 
-# sqrt(N) h of the first covering pass without a partition: the one-piece
-# model needs h >= 2 rho ~ 5.3/sqrt(N), the best covering 4.4/sqrt(N).
+# sqrt(N) h of the first covering pass: the one-piece model needs
+# h >= 2 rho ~ 5.3/sqrt(N), the best covering 4.4/sqrt(N).
 _COVERING_START = 6.0
 
 # Neighbour pairs, triples or cap-point dots one covering pass, or the dots
@@ -188,28 +190,27 @@ def covering_radius(points, partition: Partition | None = None) -> CoveringRadiu
     caps with the same boundary points form one face.  All faces are found
     when sum (k_f - 2) = 2 N - 4 (Euler); otherwise h doubles, and only
     points not yet closed in by found triangles start triples.  h starts at
-    twice the partition's bound, which only seeds the search, or at
-    _COVERING_START/sqrt(N).  Sets in a closed hemisphere (N <= 3 among them)
-    take _cap_centers' candidates, at once when every x_i . sum(x) > 0;
-    ValueError past _COVERING_MAX_WORK.
+    _COVERING_START/sqrt(N) for every set; a partition only supplies the
+    upper bound.  Sets in a closed hemisphere (N <= 3 among them) take
+    _pinned_caps' candidates in both orientations, at once when every
+    x_i . sum(x) > 0; ValueError past _COVERING_MAX_WORK.
     """
     coords = np.unique(_as_coords(points), axis=0)
-    if not len(coords) or not np.isfinite(coords).all():
-        raise ValueError("covering radius needs at least one point, all finite")
     upper = covering_upper_bound(partition) if partition is not None else 2.0
-    h = 2.0 * upper if partition is not None else _COVERING_START / math.sqrt(len(coords))
     # No facet search can close in a set inside the open hemisphere about its sum.
     in_hemisphere = (coords @ coords.sum(axis=0)).min() > 0.0
-    tau = _facet_offset(coords, h) if len(coords) >= 4 and not in_hemisphere else None
+    tau = _facet_offset(coords) if len(coords) >= 4 and not in_hemisphere else None
     if tau is None:
         tau = _exhaustive_offset(coords)
     return CoveringRadius(math.sqrt(max(0.0, 2.0 - 2.0 * tau)), upper)
 
 
-def _facet_offset(coords: np.ndarray, h: float) -> float | None:
-    """tau from the empty circumcaps; None if faces are missing once h > 3,
-    past every facet's cap radius (below sqrt(2)): a closed hemisphere."""
+def _facet_offset(coords: np.ndarray) -> float | None:
+    """tau from the empty circumcaps, h from _COVERING_START/sqrt(N); None
+    if faces are missing once h > 3, past every facet's cap radius (below
+    sqrt(2)): a closed hemisphere."""
     n = len(coords)
+    h = _COVERING_START / math.sqrt(n)
     tau, tris, faces, open_ = np.inf, np.empty((0, 3), np.int64), set(), np.ones(n, bool)
     while True:
         t, new_tris, new_faces = _empty_circumcaps(coords, h, open_)
@@ -287,13 +288,19 @@ def _empty_circumcaps(coords: np.ndarray, h: float, open_: np.ndarray):
 
 
 def _exhaustive_offset(coords: np.ndarray) -> float:
-    """tau over _cap_centers' candidates (one to three points share the
-    largest dot) and, for antipodes alone at tau = 0, one orthogonal c."""
+    """tau over the candidates with one to three points at the largest dot:
+    each _pinned_caps center c gives max_i c.x_i and its antipode -c gives
+    -min_i c.x_i, from one product; and, for antipodes alone at tau = 0,
+    one orthogonal c."""
     n = len(coords)
-    _covering_budget(n * (2 * n + n * (n - 1) + 2 * math.comb(n, 3) + 1), "dots")
+    _covering_budget(n * (n + math.comb(n, 2) + math.comb(n, 3) + 1), "dots")
     orth = np.cross(coords[0], np.eye(3)[np.argmin(np.abs(coords[0]))])
-    family = itertools.chain(_cap_centers(coords), [orth[None] / np.linalg.norm(orth)])
-    return min(float((c @ coords.T).max(axis=1).min()) for c in family if len(c))
+    tau = float(((orth[None] / np.linalg.norm(orth)) @ coords.T).max())
+    for centers, _ in _pinned_caps(coords):
+        if len(centers):
+            dots = centers @ coords.T
+            tau = min(tau, float(np.minimum(dots.max(axis=1), -dots.min(axis=1)).min()))
+    return tau
 
 
 def _covering_budget(work: int, what: str) -> None:
@@ -597,7 +604,8 @@ def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
     N + C(N, 2) + C(N, 3) candidates at N dots each: O(N^4), with no
     sort; the max_points guard keeps accidental large inputs out.
     tests/conftest.py::sup_exact_reference, which sweeps every height at
-    _cap_centers' centers in both orientations, is the slower reference.
+    the same centers in both orientations (tests/conftest.py::cap_centers),
+    is the slower reference.
     """
     coords = _as_coords(points)
     n = len(coords)
@@ -657,20 +665,6 @@ def _pinned_caps(coords: np.ndarray):
         yield normals, tri[keep]
 
 
-def _cap_centers(coords: np.ndarray):
-    """Blocks of candidate centers: every point and antipode, every
-    normalized pair midpoint and its antipode, and both normals of every
-    point triple; _pinned_caps' centers in both orientations."""
-    blocks = _pinned_caps(coords)
-    points, _ = next(blocks)
-    yield np.vstack([points, -points])
-    mids, _ = next(blocks)
-    yield from _blocked([mids, -mids], 8192)
-    for normals, _ in blocks:
-        yield normals
-        yield -normals
-
-
 def sup_discrepancy_estimate(points, n_samples: int = 10_000,
                              seed: int = 0) -> SupDiscrepancy:
     """Randomized lower estimate of the cap discrepancy.
@@ -693,8 +687,6 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
         raise ValueError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     coords = _as_coords(points)
     n = len(coords)
-    if n < 1:
-        raise ValueError("sup estimate needs at least one point")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, TWO_PI, n_samples)

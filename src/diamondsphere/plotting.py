@@ -14,26 +14,32 @@ from .partition import Partition
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
+# Pixel sizes: each disk of the projection, and the scaling chart.
+_PROJECTION_SIZE = 420
+_SCALING_WIDTH, _SCALING_HEIGHT = 640, 420
+
 
 def _fmt(x: float) -> str:
     s = f"{x:.6g}"
     return "0" if s == "-0" else s
 
 
-def _circle(cx, cy, r, **attrs) -> str:
-    extra = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
-    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}"{extra}/>'
+def _attrs(numbers: dict, styles: dict) -> str:
+    """Attribute text: the numbers through _fmt, then the styles, "_" as "-"."""
+    return "".join([f' {k}="{_fmt(v)}"' for k, v in numbers.items()]
+                   + [f' {k.replace("_", "-")}="{v}"' for k, v in styles.items()])
 
 
-def _line(x1, y1, x2, y2, **attrs) -> str:
-    extra = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
-    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}"{extra}/>')
+def _circle(cx, cy, r, **styles) -> str:
+    return f'<circle{_attrs(dict(cx=cx, cy=cy, r=r), styles)}/>'
 
 
-def _text(x, y, s, **attrs) -> str:
-    extra = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
-    return f'<text x="{_fmt(x)}" y="{_fmt(y)}"{extra}>{s}</text>'
+def _line(x1, y1, x2, y2, **styles) -> str:
+    return f'<line{_attrs(dict(x1=x1, y1=y1, x2=x2, y2=y2), styles)}/>'
+
+
+def _text(x, y, s, **styles) -> str:
+    return f'<text{_attrs(dict(x=x, y=y), styles)}>{s}</text>'
 
 
 def _document(width: int, height: int, body: list[str]) -> str:
@@ -48,13 +54,13 @@ def _document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, style, *body, "</svg>"]) + "\n"
 
 
-def svg_projection(points: PointSet, partition: Partition | None = None,
-                   size: int = 420) -> str:
+def svg_projection(points: PointSet, partition: Partition | None = None) -> str:
     """Both hemispheres viewed along the axis, with optional region edges.
 
     Left disk looks down at the north pole, right disk up at the south
     pole (x axis kept to the right in both, so the equator rims match).
     """
+    size = _PROJECTION_SIZE
     pad = 16
     radius = (size - 2 * pad) / 2
     width = 2 * size
@@ -112,8 +118,7 @@ def svg_projection(points: PointSet, partition: Partition | None = None,
     return _document(width, size + 20, body)
 
 
-def svg_scaling(n_values, series, guides=(), title="",
-                width: int = 640, height: int = 420) -> str:
+def svg_scaling(n_values, series, guides=(), title="") -> str:
     """Line chart of scale-free quality numbers against N (log axis).
 
     series maps label -> list of y values aligned with n_values; guides
@@ -121,6 +126,7 @@ def svg_scaling(n_values, series, guides=(), title="",
     """
     if not n_values:
         raise ValueError("nothing to plot")
+    width, height = _SCALING_WIDTH, _SCALING_HEIGHT
     ml, mr, mt, mb = 56, 16, 28, 40
     x0, x1 = ml, width - mr
     y0, y1 = height - mb, mt

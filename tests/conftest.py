@@ -1,5 +1,6 @@
 """Shared fixtures and model generators for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -155,6 +156,20 @@ def sup_estimate_reference(points, n_samples: int = 10_000,
                                  for c in metrics._blocked([poles, centers], block))
 
 
+def cap_centers(coords: np.ndarray):
+    """Blocks of candidate centers: every point and antipode, every
+    normalized pair midpoint and its antipode, and both normals of every
+    point triple; metrics._pinned_caps' centers in both orientations."""
+    blocks = metrics._pinned_caps(coords)
+    points, _ = next(blocks)
+    yield np.vstack([points, -points])
+    mids, _ = next(blocks)
+    yield from metrics._blocked([mids, -mids], 8192)
+    for normals, _ in blocks:
+        yield normals
+        yield -normals
+
+
 def sup_exact_reference(coords: np.ndarray):
     """Every break height at every candidate center, in both orientations.
 
@@ -162,7 +177,20 @@ def sup_exact_reference(coords: np.ndarray):
     at its own height only; both take their centers from
     metrics._pinned_caps.
     """
-    return best_over_centers_reference(coords, metrics._cap_centers(coords))
+    return best_over_centers_reference(coords, cap_centers(coords))
+
+
+def exhaustive_offset_reference(coords: np.ndarray) -> float:
+    """tau over cap_centers' candidates (one to three points share the
+    largest dot) and, for antipodes alone at tau = 0, one orthogonal c.
+
+    The reference for metrics._exhaustive_offset, which reads both
+    orientations of each _pinned_caps center from one product; the two
+    must agree bit for bit.  It has no work guard.
+    """
+    orth = np.cross(coords[0], np.eye(3)[np.argmin(np.abs(coords[0]))])
+    family = itertools.chain(cap_centers(coords), [orth[None] / np.linalg.norm(orth)])
+    return min(float((c @ coords.T).max(axis=1).min()) for c in family if len(c))
 
 
 def generate_reference(model: DiamondModel) -> PointSet:

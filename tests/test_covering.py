@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_spec, random_unit_points
+from conftest import exhaustive_offset_reference, make_random_spec, random_unit_points
 from diamondsphere import (
+    ModelSpec,
     PointSet,
     build_partition,
     covering_radius,
@@ -229,6 +230,36 @@ def test_no_partition_reaches_the_euler_count(M, monkeypatch):
     monkeypatch.setattr(metrics, "_exhaustive_offset", refuse)
     pts = generate(validate(simple_model(M, theta_policy="seed:3")))
     assert covering_radius(pts).estimate > 0.0
+
+
+EXHAUSTIVE_SETS = {
+    **{name: coords for name, (coords, _) in SMALL_SETS.items()},
+    **{f"hemisphere-cluster-{n}": hemisphere_cluster(n, n) for n in (15, 60, 120)},
+    "duplicated-rows": np.vstack([hemisphere_cluster(20, 5), hemisphere_cluster(20, 5)[:6]]),
+    # About N^4/6 dots: within _COVERING_MAX_WORK only because each center's
+    # two orientations share one product.
+    "hemisphere-cluster-140": hemisphere_cluster(140, 140),
+}
+
+
+@pytest.mark.parametrize("name", list(EXHAUSTIVE_SETS))
+def test_exhaustive_offset_equals_both_orientation_reference(name):
+    coords = EXHAUSTIVE_SETS[name]
+    assert metrics._exhaustive_offset(coords) == exhaustive_offset_reference(coords)
+
+
+def test_every_facet_search_starts_at_the_covering_start(monkeypatch):
+    # A multi-piece model whose partition bound is 13/sqrt(N): twice that
+    # as the first chord would enumerate far too many triples.
+    model = validate(ModelSpec(M=38, n=3, t=(0, 4, 13, 38), alpha=(0, 4, 4),
+                               beta=(1, 0, 0), theta_policy="seed:17"))
+    pts, search = generate(model), metrics._empty_circumcaps
+    for partition in (None, build_partition(model)):
+        chords = []
+        monkeypatch.setattr(metrics, "_empty_circumcaps",
+                            lambda coords, h, open_: chords.append(h) or search(coords, h, open_))
+        covering_radius(pts, partition=partition)
+        assert chords[0] == metrics._COVERING_START / math.sqrt(model.N)
 
 
 def test_large_hemisphere_set_stops_with_value_error():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cap_centers,
     make_random_spec,
     mean_chord_monte_carlo,
     random_unit_points,
@@ -416,7 +417,7 @@ def sweep_rows_inputs(name: str) -> np.ndarray:
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     if name.startswith("cap-centers-"):
         coords = generate(validate(simple_model(int(name[-1])))).coords
-        return np.vstack([c @ coords.T for c in metrics._cap_centers(coords)])
+        return np.vstack([c @ coords.T for c in cap_centers(coords)])
     if name.startswith("synthetic-"):
         dots = rng.uniform(-1.0, 1.0, (300, 55))
         k = np.arange(5)

@@ -1,6 +1,6 @@
 """Core primitives: unit vectors, caps, counting, the spiral grid, and the
 candidate cap centers that the sup and covering kernels build in
-metrics._cap_centers."""
+metrics._pinned_caps, in both orientations as conftest.cap_centers."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_unit_points
+from conftest import cap_centers, random_unit_points
 from diamondsphere import (
     NORTH_POLE,
     SOUTH_POLE,
@@ -19,14 +19,13 @@ from diamondsphere import (
     separation,
     spiral_points,
 )
-from diamondsphere.metrics import _cap_centers
 
 
 def candidate_centers(coords):
-    """_cap_centers' blocks for a small set: (points then antipodes,
+    """cap_centers' blocks for a small set: (points then antipodes,
     [midpoints, their antipodes] or [] when none survive, [normals, their
     antipodes] or [] for fewer than three points)."""
-    blocks = list(_cap_centers(np.asarray(coords, dtype=float)))
+    blocks = list(cap_centers(np.asarray(coords, dtype=float)))
     n_tri = 2 if len(coords) >= 3 else 0
     return blocks[0], blocks[1:len(blocks) - n_tri], blocks[len(blocks) - n_tri:]
 

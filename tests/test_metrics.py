@@ -7,19 +7,24 @@ import pytest
 
 from conftest import brute_force_separation, make_random_spec, random_unit_points
 from diamondsphere import (
+    NORTH_POLE,
     DuplicatePointError,
     PointSet,
+    SphericalCap,
     build_partition,
     compute_metrics,
+    count_in_cap,
     covering_radius,
     covering_upper_bound,
     generate,
+    l2_discrepancy_quadrature,
     l2_discrepancy_stolarsky,
     log_energy,
     metrics,
     riesz_energy,
     separation,
     simple_model,
+    stolarsky_constant_estimate,
     sum_distances,
     sup_discrepancy_estimate,
     sup_discrepancy_exact,
@@ -215,3 +220,33 @@ def test_sup_exact_rotation_invariant():
     base = sup_discrepancy_exact(pts)
     moved = sup_discrepancy_exact(PointSet(pts.coords @ rot.T))
     assert abs(base.value - moved.value) <= 1e-12
+
+
+# Every public routine that takes raw point rows, except separation, whose
+# cube grid accepts any finite rows.
+ROW_CHECKED = {
+    "covering_radius": covering_radius,
+    "riesz_energy": lambda p: riesz_energy(p, 1.0),
+    "log_energy": log_energy,
+    "sum_distances": sum_distances,
+    "sup_discrepancy_exact": sup_discrepancy_exact,
+    "sup_discrepancy_estimate": lambda p: sup_discrepancy_estimate(p, n_samples=100),
+    "l2_discrepancy_stolarsky": l2_discrepancy_stolarsky,
+    "l2_discrepancy_quadrature": l2_discrepancy_quadrature,
+    "stolarsky_constant_estimate": stolarsky_constant_estimate,
+    "compute_metrics": compute_metrics,
+    "count_in_cap": lambda p: count_in_cap(p, SphericalCap(NORTH_POLE, 0.0)),
+}
+
+
+@pytest.mark.parametrize("row", ["nan", "norm-2"])
+@pytest.mark.parametrize("name", list(ROW_CHECKED))
+def test_raw_rows_are_checked_like_a_point_set(name, row):
+    good = random_unit_points(np.random.default_rng(17), 12)
+    bad = good.copy()
+    bad[5] = np.nan if row == "nan" else 2.0 * bad[5]
+    with pytest.raises(ValueError):
+        ROW_CHECKED[name](bad)
+    # The check leaves the caller's array writable.
+    ROW_CHECKED[name](good)
+    assert good.flags.writeable

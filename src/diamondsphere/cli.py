@@ -55,16 +55,22 @@ _CSV_DTYPE = [(name, np.int64 if name in ("index", "parallel", "i") else float)
               for name in CSV_HEADER]
 
 
-def write_points_csv(path: str, points: PointSet) -> None:
+def _csv_columns(points: PointSet) -> list:
+    """The values of the CSV_HEADER columns for a tagged point set, as sequences."""
     x, y, z = points.coords.T.tolist()
     phi = [math.atan2(b, a) % TWO_PI for a, b in zip(x, y)]
-    rows = zip(range(len(points)), points.parallel.tolist(), points.index_in_parallel.tolist(),
-               x, y, z, phi, z)
+    return [range(len(points)), points.parallel.tolist(),
+            points.index_in_parallel.tolist(), x, y, z, phi, z]
+
+
+def write_points_csv(path: str, points: PointSet) -> None:
+    rows = zip(*_csv_columns(points))
     with open(path, "w", newline="\n") as f:
         f.write("\n".join([",".join(CSV_HEADER), *(_CSV_ROW % row for row in rows)]) + "\n")
 
 
-def read_points_csv(path: str) -> PointSet:
+def _read_points(path: str) -> tuple[np.ndarray, PointSet]:
+    """The CSV as a structured array with the CSV_HEADER fields, and its points."""
     with open(path) as f:
         lines = f.read().split("\n")
     if lines[-1] == "":
@@ -85,7 +91,12 @@ def read_points_csv(path: str) -> PointSet:
     if bad.size:
         raise ValueError(f"row {bad[0]} has index {rows[bad[0]].split(',', 1)[0]}")
     coords = np.column_stack([table["x"], table["y"], table["z"]])
-    return PointSet(coords, parallel=table["parallel"], index_in_parallel=table["i"])
+    coords.setflags(write=False)  # fresh, so PointSet keeps it without a copy
+    return table, PointSet(coords, parallel=table["parallel"], index_in_parallel=table["i"])
+
+
+def read_points_csv(path: str) -> PointSet:
+    return _read_points(path)[1]
 
 
 def _dump_json(obj, path: str | None) -> None:
@@ -103,9 +114,9 @@ def _add_model_args(p: argparse.ArgumentParser, required: bool = True) -> None:
                    help="one-piece model with slope 4 and M northern parallels")
     g.add_argument("--model", metavar="FILE",
                    help="JSON file with keys M, n, t, alpha, beta")
-    p.add_argument("--theta", default="zeros",
-                   help='ring rotations: "zeros", "seed:<int>", or a '
-                        "comma-separated list (default zeros)")
+    p.add_argument("--theta",
+                   help='ring rotations: "zeros", "seed:<int>", or a comma-separated '
+                        "list (default: the model file's theta_policy, else zeros)")
 
 
 def _parse_theta(raw: str):
@@ -132,15 +143,14 @@ def _m_range(text: str) -> range:
 
 
 def _resolve_model(args) -> DiamondModel | None:
-    theta = _parse_theta(args.theta)
+    theta = "zeros" if args.theta is None else _parse_theta(args.theta)
     if args.simple_M is not None:
         return validate(simple_model(args.simple_M, theta_policy=theta))
     if args.model is not None:
         with open(args.model) as f:
-            payload = json.load(f)
-        spec = ModelSpec.from_dict(payload)
+            spec = ModelSpec.from_dict(json.load(f))
         # an explicit --theta wins over whatever the file carries
-        if args.theta != "zeros" or "theta_policy" not in payload:
+        if args.theta is not None:
             spec = dataclasses.replace(spec, theta_policy=theta)
         return validate(spec)
     return None
@@ -198,7 +208,10 @@ def cmd_partition(args) -> int:
 
 
 def _check_ensemble_file(path: str, points: PointSet, error: type[Exception]) -> None:
-    if not np.array_equal(read_points_csv(path).coords, points.coords):
+    """Every column of the file must equal what write_points_csv writes for points."""
+    table, _ = _read_points(path)
+    columns = zip(CSV_HEADER, _csv_columns(points))
+    if any(table[k].tolist() != list(v) for k, v in columns):
         raise error(f"{path} does not match the model ensemble")
 
 

@@ -11,7 +11,8 @@ Everything that admits exact arithmetic is kept exact: r_j, N, the
 partial counts N_j and the heights z_j are integers and Fractions.  The
 floats derived from them live in one per-ring table, ``DiamondModel.rings``,
 built once by ``validate``: each is rounded once from its exact integer
-ratio, and ``generate`` and the partition take their floats from it.
+ratio, and ``generate`` and the partition take their floats from it.  The
+poles are its rings of one point, so no reader special-cases them.
 """
 
 from __future__ import annotations
@@ -155,13 +156,15 @@ def resolve_thetas(policy: str | Sequence[float], p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rings:
-    """Read-only per-ring columns; row j - 1 describes parallel j = 1..p.
+    """Read-only per-ring columns; row j describes ring j = 0..p + 1.
 
-    r and first (N_j: the ring's first point index and first region id)
-    are int64, theta the rotation offsets.  z is z_j, s the square root of
-    1 - z_j^2, and b the p + 1 partition boundaries b_k = 1 - 2 N_k / N,
-    ring j spanning (b_{j+1}, b_j]; z, b and 1 - z_j^2 are each the
-    correctly rounded float of their exact ratio of integers.
+    The north pole (0) and the south pole (p + 1) are rings of one point,
+    z = +-1 and theta = 0, whose cell is a polar cap.  r and first (N_j:
+    the ring's first point index and first region id) are int64, theta the
+    rotation offsets.  z is z_j, s the square root of 1 - z_j^2, and b the
+    p + 3 boundaries b_k = 1 - 2 N_k / N (b_0 = 1, b_{p+2} = -1), ring j
+    spanning (b_{j+1}, b_j]; z, b and 1 - z_j^2 are each the correctly
+    rounded float of their exact ratio of integers.
     """
 
     r: np.ndarray
@@ -187,7 +190,7 @@ class DiamondModel:
     z_exact : tuple of Fraction
         Heights of the parallels, strictly decreasing, antisymmetric.
     rings : Rings
-        The same ring facts as read-only arrays, with their floats.
+        The ring facts as read-only arrays, with their floats, poles included.
     """
 
     spec: ModelSpec
@@ -200,7 +203,8 @@ class DiamondModel:
 
     @property
     def theta(self) -> np.ndarray:
-        return self.rings.theta
+        """Rotation offsets of parallels 1..p, the parallel rows of the ring table."""
+        return self.rings.theta[1:-1]
 
     @property
     def M(self) -> int:
@@ -284,28 +288,27 @@ def validate(spec: ModelSpec) -> DiamondModel:
 
     N = 2 + sum(r)
     n_partial = tuple(itertools.accumulate(r, initial=1))
-    assert n_partial[-1] == N - 1
 
-    # z_j = num_j / (N - 1), num_j = N - 2 - r_j - 2 sum_{k<j} r_k = N - r_j - 2 N_j,
-    # must decrease strictly, be antisymmetric and lie in (-(N - 1), N - 1);
-    # integers make these checks cheap.
-    num = [N - rj - 2 * nj for rj, nj in zip(r, n_partial)]
+    # Rings 0..p + 1 over N_0 = 0, ..., N_{p+2} = N: z_j = num_j / (N - 1) with
+    # num_j = N - r_j - 2 N_j, +-(N - 1) at the poles, strictly decreasing and antisymmetric.
+    ring_r = (1, *r, 1)
+    counts = (0, *n_partial, N)
+    num = [N - rj - 2 * nj for rj, nj in zip(ring_r, counts)]
     assert all(a > b for a, b in zip(num, num[1:]))
     assert num == [-v for v in reversed(num)]
-    assert N - 1 > num[0] and num[-1] > 1 - N
-    z_exact = tuple(Fraction(v, N - 1) for v in num)
+    z_exact = tuple(Fraction(v, N - 1) for v in num[1:-1])
 
     # The ring table: Python ints divide with one correct rounding and never
     # overflow, and (1 - z)(1 + z) as one ratio loses none of the tiny 1 - z^2
     # near the poles to cancellation.
     d = N - 1
     rings = Rings(
-        r=np.array(r, dtype=np.int64),
-        first=np.array(n_partial[:-1], dtype=np.int64),
-        theta=resolve_thetas(spec.theta_policy, p),
+        r=np.array(ring_r, dtype=np.int64),
+        first=np.array(counts[:-1], dtype=np.int64),
+        theta=np.concatenate([[0.0], resolve_thetas(spec.theta_policy, p), [0.0]]),
         z=np.array([v / d for v in num]),
         s=np.sqrt([(d - v) * (d + v) / (d * d) for v in num]),
-        b=np.array([(N - 2 * nk) / N for nk in n_partial]),
+        b=np.array([(N - 2 * nk) / N for nk in counts]),
     )
     for column in vars(rings).values():
         column.setflags(write=False)
@@ -324,23 +327,22 @@ def validate(spec: ModelSpec) -> DiamondModel:
 def generate(model: DiamondModel) -> PointSet:
     """Emit the point set: north pole, parallels 1..p top to bottom, south pole.
 
-    Parallel j carries r_j points at longitudes 2*pi*i/r_j + theta_j,
-    i = 0..r_j - 1.  Point order and values are deterministic given the
-    model (including its theta policy).
+    Ring j carries r_j points at longitudes 2*pi*i/r_j + theta_j, i < r_j,
+    the poles one each.  Point order and values are deterministic given
+    the model (including its theta policy).
     """
     N, rings = model.N, model.rings
-    counts = np.concatenate([[1], rings.r, [1]])  # the poles are rings of one point
-    parallel = np.repeat(np.arange(model.p + 2), counts)
-    index = np.arange(N) - np.repeat([0, *rings.first, N - 1], counts)
-    phi = TWO_PI * index[1:-1] / np.repeat(rings.r, rings.r) + np.repeat(rings.theta, rings.r)
+    parallel = np.repeat(np.arange(model.p + 2), rings.r)
+    index = np.arange(N) - np.repeat(rings.first, rings.r)
+    phi = TWO_PI * index / np.repeat(rings.r, rings.r) + np.repeat(rings.theta, rings.r)
     s = np.repeat(rings.s, rings.r)
 
     coords = np.empty((N, 3))
-    coords[0] = (0.0, 0.0, 1.0)
-    coords[1:-1, 0] = s * np.cos(phi)
-    coords[1:-1, 1] = s * np.sin(phi)
-    coords[1:-1, 2] = np.repeat(rings.z, rings.r)
-    coords[-1] = (0.0, 0.0, -1.0)
+    coords[:, 0] = s * np.cos(phi)
+    coords[:, 1] = s * np.sin(phi)
+    coords[:, 2] = np.repeat(rings.z, rings.r)
+    for fresh in (coords, parallel, index):
+        fresh.setflags(write=False)  # PointSet keeps a read-only array without a copy
     return PointSet(coords, parallel=parallel, index_in_parallel=index)
 
 

@@ -96,6 +96,8 @@ class SphericalCap:
 class PointSet:
     """An immutable batch of unit vectors with optional provenance tags.
 
+    The arrays are read-only: a read-only input is kept, any other copied.
+
     Parameters
     ----------
     coords : (N, 3) array
@@ -110,16 +112,13 @@ class PointSet:
     __slots__ = ("coords", "parallel", "index_in_parallel")
 
     def __init__(self, coords, parallel=None, index_in_parallel=None):
-        coords = np.ascontiguousarray(coords, dtype=float)
+        self.coords = coords = _read_only(coords, float)
         _check_unit_rows(coords)
-        coords.setflags(write=False)
-        self.coords = coords
         for name, arr in (("parallel", parallel), ("index_in_parallel", index_in_parallel)):
             if arr is not None:
-                arr = np.ascontiguousarray(arr, dtype=np.int64)
+                arr = _read_only(arr, np.int64)
                 if arr.shape != (coords.shape[0],):
                     raise ValueError(f"{name} must have shape (N,)")
-                arr.setflags(write=False)
             setattr(self, name, arr)
 
     def __len__(self) -> int:
@@ -128,6 +127,14 @@ class PointSet:
     @property
     def has_provenance(self) -> bool:
         return self.parallel is not None and self.index_in_parallel is not None
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """a as a read-only C-contiguous array, never freezing the caller's array."""
+    keep = isinstance(a, np.ndarray) and not a.flags.writeable
+    a = np.array(a, dtype=dtype, order="C", copy=None if keep else True)
+    a.setflags(write=False)
+    return a
 
 
 def _check_unit_rows(coords: np.ndarray) -> None:

@@ -436,7 +436,7 @@ def polar_cap_profile(model: DiamondModel) -> PolarProfile:
     # With N_{j+1} = N_j + r_j and (N - 1)(1 - z_j) = 2 N_j + r_j - 1, the
     # deviation is an integer over 2N(N - 1); Python ints keep it exact.
     exact = [Fraction(abs((N - 2) * r + N - 2 * first), 2 * N * (N - 1))
-             for r, first in zip(rings.r[:M].tolist(), rings.first[:M].tolist())]
+             for r, first in zip(rings.r[1:M + 1].tolist(), rings.first[1:M + 1].tolist())]
     closed_form = None
     if model.is_simple:
         closed_form = tuple(

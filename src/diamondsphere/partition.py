@@ -8,8 +8,9 @@ h_j = b_j, j <= M).  Ring j spans (b_{j+1}, b_j] and holds r_j cells,
 so every region has area exactly 4*pi/N, and parallel j is strictly
 interior to its ring: b_{j+1} < z_j < b_j.  All of that is certified in
 rational arithmetic from ``Partition.b_exact``; every float, and r, theta
-and the first index N_j of a ring, comes from ``DiamondModel.rings``.
-``certify`` runs every check that the ``verify`` command reports, and
+and the first index N_j of a ring, comes from ``DiamondModel.rings``,
+whose rings 0 and p + 1 are the polar caps, one cell each.  ``certify``
+runs every check that the ``verify`` command reports, and
 ``partition_records`` builds the records ring by ring.
 
 Region ownership conventions (fixed for the whole package):
@@ -94,7 +95,7 @@ class Partition:
 
         # Height boundaries bottom-up for locate_many(); the symmetry of r
         # makes b_{2M+1-k} = -b_k: -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
-        self._asc_bounds = np.concatenate([[-1.0], model.rings.b[::-1], [1.0]])
+        self._asc_bounds = model.rings.b[::-1]
         assert np.all(np.diff(self._asc_bounds) > 0)
 
     @property
@@ -108,10 +109,10 @@ class Partition:
         N, b, bf = self.model.N, self.b_exact, self.model.rings.b
         if region_id == 0:
             return Region(0, "cap_north", 0, 0, None, None,
-                          float(bf[0]), 1.0, b[0], Fraction(1), 0)
+                          float(bf[1]), 1.0, b[0], Fraction(1), 0)
         if region_id == N - 1:
             return Region(N - 1, "cap_south", 0, 0, None, None,
-                          -1.0, float(bf[-1]), Fraction(-1), b[-1], N - 1)
+                          -1.0, float(bf[-2]), Fraction(-1), b[-1], N - 1)
         if not 0 < region_id < N - 1:
             raise IndexError(f"region id {region_id} outside 0..{N - 1}")
         j = bisect_right(self.model.n_partial, region_id)
@@ -120,7 +121,7 @@ class Partition:
         phi_lo = _phi_lo(self.model.rings, j, i)
         return Region(
             region_id, "rect", j, i, phi_lo, phi_lo + TWO_PI / r,
-            float(bf[j]), float(bf[j - 1]), b[j], b[j - 1], first + (i + 1) % r,
+            float(bf[j + 1]), float(bf[j]), b[j], b[j - 1], first + (i + 1) % r,
         )
 
     def __iter__(self) -> Iterator[Region]:
@@ -135,32 +136,20 @@ class Partition:
     def locate_many(self, coords: np.ndarray) -> np.ndarray:
         """Region id containing each row (a total function); rows must be unit vectors."""
         coords = np.asarray(coords, dtype=float)
-        z = coords[:, 2]
-        N, M, rings = self.model.N, self.model.M, self.model.rings
-        # Ascending band b owns (asc[b], asc[b + 1]]; z = -1 falls in band 0.
-        band = np.searchsorted(self._asc_bounds, z, side="left") - 1
-        band = np.clip(band, 0, 2 * M)
-        out = np.empty(len(coords), dtype=np.int64)
-
-        south_cap = band == 0
-        north_cap = band == 2 * M
-        out[south_cap] = N - 1
-        out[north_cap] = 0
-
-        rect = ~(south_cap | north_cap)
-        phi = np.arctan2(coords[rect, 1], coords[rect, 0]) % TWO_PI
-        ring = 2 * M - 1 - band[rect]  # band M is the equator ring, j = M
+        p, rings = self.model.p, self.model.rings
+        # Ascending band b owns (asc[b], asc[b + 1]] of ring p + 1 - b; z = -1 is in band 0.
+        band = np.searchsorted(self._asc_bounds, coords[:, 2], side="left") - 1
+        ring = p + 1 - np.clip(band, 0, p + 1)
+        phi = np.arctan2(coords[:, 1], coords[:, 0]) % TWO_PI
         r = rings.r[ring]
         frac = (phi - rings.theta[ring] - math.pi / r) * r / TWO_PI
-        i = np.floor(frac).astype(np.int64) % r
-        out[rect] = rings.first[ring] + i
-        return out
+        return rings.first[ring] + np.floor(frac).astype(np.int64) % r
 
 
 def _phi_lo(rings: Rings, j: int, i):
     """Lower longitude of cell i (an int or an int array) of ring j, in
     Python float arithmetic for an int i."""
-    r, theta = int(rings.r[j - 1]), float(rings.theta[j - 1])
+    r, theta = int(rings.r[j]), float(rings.theta[j])
     return (TWO_PI * i / r + math.pi / r + theta) % TWO_PI
 
 
@@ -174,7 +163,7 @@ def _ring_areas(model: DiamondModel, j: int) -> tuple[np.ndarray, float]:
     sum phi_lo + 2*pi/r lies below 4*pi, so its difference with phi_lo is
     off by ulp(2*pi) at most, doubled to r*ulp(2*pi)/pi relative.  The
     height b_j - b_{j+1} = 2 r_j / N is rounded once from its integers."""
-    r = model.r[j - 1]
+    r = int(model.rings.r[j])
     phi_lo = _phi_lo(model.rings, j, np.arange(r))
     areas = (phi_lo + TWO_PI / r - phi_lo) * (2 * r / model.N)
     return areas, r * math.ulp(TWO_PI) / math.pi + _AREA_EPS
@@ -191,23 +180,17 @@ def region_area(region: Region) -> float:
     1 - h cancels to a few float digits, while the rational difference
     rounds just once.
     """
-    dh = float(region.h_hi_exact - region.h_lo_exact)
-    if region.kind in ("cap_north", "cap_south"):
-        return TWO_PI * dh
-    return (region.phi_hi - region.phi_lo) * dh
+    dphi = TWO_PI if region.kind != "rect" else region.phi_hi - region.phi_lo
+    return dphi * float(region.h_hi_exact - region.h_lo_exact)
 
 
 def region_area_fraction_exact(partition: Partition, region: Region) -> Fraction:
     """Area of a region as an exact fraction of the whole sphere.
 
-    The area element splits as dphi * dh, so a cap above height h covers
-    (1 - h)/2 of the sphere and a rectangle covers (dh/2) * (dphi/2*pi).
+    The area element splits as dphi * dh, so a cell of a ring of r covers
+    (dh/2) / r of the sphere; a cap is a ring of one cell.
     """
-    if region.kind == "cap_north":
-        return (1 - region.h_lo_exact) / 2
-    if region.kind == "cap_south":
-        return (region.h_hi_exact + 1) / 2
-    r = partition.model.r[region.j - 1]
+    r = partition.model.r[region.j - 1] if region.kind == "rect" else 1
     return (region.h_hi_exact - region.h_lo_exact) / (2 * r)
 
 
@@ -252,10 +235,10 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
                               np.empty(0, dtype=np.int64), tuple(failures))
 
     # Point k of the ring with first point and first region N_j lies in
-    # region N_j + (k - N_j - 1) mod r_j.
+    # region N_j + (k - N_j - 1) mod r_j; a pole, r = 1, in its own cap.
     N, rings = model.N, model.rings
     first, r = np.repeat(rings.first, rings.r), np.repeat(rings.r, rings.r)
-    expected = np.concatenate([[0], first + (np.arange(1, N - 1) - first - 1) % r, [N - 1]])
+    expected = first + (np.arange(N) - first - 1) % r
     located = partition.locate_many(points.coords)
     mism = np.nonzero(located != expected)[0]
     for idx in mism[:8]:
@@ -279,7 +262,7 @@ def side_lengths(partition: Partition, j: int) -> SideLengths:
     M = partition.model.M
     if not 1 <= j <= M:
         raise IndexError(f"collar index {j} outside 1..{M}")
-    h_hi, h_lo = partition.model.rings.b[j - 1:j + 1].tolist()
+    h_hi, h_lo = partition.model.rings.b[j:j + 2].tolist()
     r = partition.model.r[j - 1]
     dphi = TWO_PI / r
     arcs, corners = [], []
@@ -295,21 +278,17 @@ def side_lengths(partition: Partition, j: int) -> SideLengths:
 def certify(partition: Partition, points: PointSet) -> str:
     """Run verify's checks in order and return the label of the side band.
 
-    Exact areas are checked once per cap and per ring, whose cells share
+    Exact areas are checked once per ring, caps included, whose cells share
     exact heights and r, and float areas per cell to their rounding bound.
     Raises VerificationFailure at the first failure.
     """
     model = partition.model
     n = model.N
     area_f = SPHERE_AREA / n
-    for rid in (0, *model.n_partial[:-1], n - 1):
-        region = partition.region(rid)
-        if region_area_fraction_exact(partition, region) != Fraction(1, n):
+    for j, rid in enumerate(model.rings.first.tolist()):
+        if region_area_fraction_exact(partition, partition.region(rid)) != Fraction(1, n):
             raise VerificationFailure(f"region {rid} area fraction is not 1/N")
-        if region.kind == "rect":
-            areas, rel_tol = _ring_areas(model, region.j)
-        else:
-            areas, rel_tol = np.array([region_area(region)]), _AREA_EPS
+        areas, rel_tol = _ring_areas(model, j)
         off = np.flatnonzero(np.abs(areas - area_f) > rel_tol * area_f)
         if off.size:
             raise VerificationFailure(f"region {rid + int(off[0])} float area off 4*pi/N")
@@ -353,7 +332,8 @@ def _collar_far_radius(h_hi: float, h_lo: float, z_point: float, r: int) -> floa
     A(dphi)*sqrt(1 - h^2) + B*h with A = s_p*cos(dphi), B = z_point; it
     is minimized on the meridian edges dphi = +-pi/r, where the minimum
     over h sits at a corner, or interior to the edge when A < 0 (only
-    possible for r = 1, where the cell wraps past a half-turn).
+    possible for r = 1, where the cell wraps past a half-turn).  A pole has
+    A = -0.0, so a polar cap gives its rim distance sqrt(2 - 2 h) exactly.
     """
     s_p = math.sqrt(max(0.0, 1.0 - z_point * z_point))
     a_coef = s_p * math.cos(math.pi / r)
@@ -376,14 +356,12 @@ def covering_upper_bound(partition: Partition) -> float:
     from the matched point of the region containing it.
 
     Cells within a ring are congruent with congruently placed points, so
-    one evaluation per ring plus the cap rim distance suffices.
+    one evaluation per ring, caps included, suffices.
     """
     rings = partition.model.rings
     b = rings.b.tolist()
-    best = math.sqrt(2.0 - 2.0 * b[0])
-    for h_hi, h_lo, z, r in zip(b, b[1:], rings.z.tolist(), rings.r.tolist()):
-        best = max(best, _collar_far_radius(h_hi, h_lo, z, r))
-    return best
+    return max(_collar_far_radius(h_hi, h_lo, z, r)
+               for h_hi, h_lo, z, r in zip(b, b[1:], rings.z.tolist(), rings.r.tolist()))
 
 
 def partition_records(partition: Partition) -> list[dict]:
@@ -392,17 +370,16 @@ def partition_records(partition: Partition) -> list[dict]:
     The cells of a ring differ from its first cell only in their id, i,
     longitudes and matched point, so each ring takes one region() call.
     """
-    model = partition.model
+    rings = partition.model.rings
     records = []
-    for rid in (0, *model.n_partial[:-1], model.N - 1):
+    for j, (rid, r) in enumerate(zip(rings.first.tolist(), rings.r.tolist())):
         reg = partition.region(rid)
         base = {**vars(reg), "h_lo_exact": str(reg.h_lo_exact), "h_hi_exact": str(reg.h_hi_exact)}
-        if reg.kind != "rect":
+        if reg.kind != "rect":  # a cap record carries no longitudes
             records.append(base)
             continue
-        r = model.r[reg.j - 1]
         i = np.arange(r)
-        phi_lo = _phi_lo(model.rings, reg.j, i)
+        phi_lo = _phi_lo(rings, j, i)
         records.extend(
             {**base, "region_id": rid + k, "i": k, "phi_lo": lo, "phi_hi": hi, "matched_point": m}
             for k, lo, hi, m in zip(range(r), phi_lo.tolist(), (phi_lo + TWO_PI / r).tolist(),

@@ -78,15 +78,15 @@ def svg_projection(points: PointSet, partition: Partition | None = None) -> str:
 
     if partition is not None:
         rings = partition.model.rings
-        b = rings.b.tolist()
+        b = rings.b.tolist()  # b_0..b_{p+2}; the parallels are rows 1..p
         for south in (False, True):
             cx, cy = disk_center(south)
             # circles of latitude at every partition height on this side
-            for h in b[:partition.model.M]:
+            for h in b[1:partition.model.M + 1]:
                 body.append(_circle(cx, cy, radius * math.sqrt(max(0.0, 1.0 - h * h)),
                                     fill="none", stroke="#bbb", stroke_width="0.6"))
-            for h_hi, h_lo, r_count, theta in zip(b, b[1:], rings.r.tolist(),
-                                                  rings.theta.tolist()):
+            for h_hi, h_lo, r_count, theta in zip(b[1:], b[2:], rings.r[1:-1].tolist(),
+                                                  rings.theta[1:-1].tolist()):
                 lo = max(h_lo, 0.0) if not south else max(-h_hi, 0.0)
                 hi = max(h_hi, 0.0) if not south else max(-h_lo, 0.0)
                 if hi <= lo:

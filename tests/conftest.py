@@ -19,6 +19,7 @@ from diamondsphere import (
 )
 from diamondsphere.geometry import BOUNDARY_TOL, TWO_PI, SphericalCap, UnitVec
 from diamondsphere.metrics import SupDiscrepancy
+from diamondsphere.partition import _collar_far_radius
 
 
 def make_random_spec(rng: np.random.Generator, m_lo: int = 2, m_hi: int = 30,
@@ -231,6 +232,57 @@ def generate_reference(model: DiamondModel) -> PointSet:
     assert pos == N - 1
 
     return PointSet(coords, parallel=parallel, index_in_parallel=index_in_parallel)
+
+
+def locate_many_reference(partition, coords: np.ndarray) -> np.ndarray:
+    """Region ids with the polar caps as branches of their own.
+
+    The reference for Partition.locate_many, which treats each cap as a
+    ring of one cell; it reads the parallels' data from the model's tuples
+    and the boundary floats from Partition.b_exact.
+    """
+    model = partition.model
+    N, M = model.N, model.M
+    asc = np.array([-1.0, *(float(b) for b in reversed(partition.b_exact)), 1.0])
+    band = np.clip(np.searchsorted(asc, coords[:, 2], side="left") - 1, 0, 2 * M)
+    out = np.empty(len(coords), dtype=np.int64)
+    south_cap, north_cap = band == 0, band == 2 * M
+    out[south_cap] = N - 1
+    out[north_cap] = 0
+    rect = ~(south_cap | north_cap)
+    phi = np.arctan2(coords[rect, 1], coords[rect, 0]) % TWO_PI
+    row = 2 * M - 1 - band[rect]  # parallel row - 1; band M is the equator ring
+    r = np.array(model.r, dtype=np.int64)[row]
+    frac = (phi - model.theta[row] - math.pi / r) * r / TWO_PI
+    first = np.array(model.n_partial[:-1], dtype=np.int64)[row]
+    out[rect] = first + np.floor(frac).astype(np.int64) % r
+    return out
+
+
+def matching_reference(model: DiamondModel) -> np.ndarray:
+    """The region each generated point must lie in, the poles set apart:
+    point k of parallel j lies in N_j + (k - N_j - 1) mod r_j.
+
+    The reference for the expected ids of partition.verify_matching.
+    """
+    N = model.N
+    first = np.repeat(np.array(model.n_partial[:-1], dtype=np.int64), model.r)
+    r = np.repeat(np.array(model.r, dtype=np.int64), model.r)
+    return np.concatenate([[0], first + (np.arange(1, N - 1) - first - 1) % r, [N - 1]])
+
+
+def covering_upper_bound_reference(partition) -> float:
+    """The cap rim distance, then one _collar_far_radius per parallel.
+
+    The reference for partition.covering_upper_bound, which takes one max
+    over every ring of the table, caps included.
+    """
+    model = partition.model
+    b = [float(v) for v in partition.b_exact]
+    best = math.sqrt(2.0 - 2.0 * b[0])
+    for h_hi, h_lo, z, r in zip(b, b[1:], (float(v) for v in model.z_exact), model.r):
+        best = max(best, _collar_far_radius(h_hi, h_lo, z, r))
+    return best
 
 
 def brute_force_separation(coords: np.ndarray) -> float:

@@ -107,6 +107,58 @@ def test_verify_points_mismatch_exits_3(tmp_path, capsys):
     assert "does not match" in err
 
 
+def _set_row_2(**fields):
+    def edit(lines):
+        cells = lines[3].split(",")
+        for name, value in fields.items():
+            cells[CSV_HEADER.index(name)] = value
+        lines[3] = ",".join(cells)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_row_2(parallel="7", i="9", phi="3.0", z_height="0.5"),
+    _set_row_2(parallel="7"),
+    _set_row_2(i="9"),
+    _set_row_2(phi="3.0"),
+    _set_row_2(z_height="0.5"),
+    lambda lines: lines[:-1],
+], ids=["all-four", "parallel", "i", "phi", "z_height", "last-row-missing"])
+def test_points_file_must_match_every_column(edit, tmp_path, capsys):
+    """x, y and z alone passed: a file with wrong tags, phi or z_height
+    was reported as the regenerated ensemble bit for bit."""
+    good = tmp_path / "pts.csv"
+    run(["gen", "--simple-M", "3", "-o", str(good)], capsys)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    for argv, want in ((["verify"], 3), (["metrics", "--sup", "none", "--no-energies"], 2)):
+        code, out, err = run([*argv, "--simple-M", "3", "--points", str(bad)], capsys)
+        assert (code, out) == (want, "")
+        assert f"{bad} does not match the model ensemble" in err
+    code, out, _ = run(["verify", "--simple-M", "3", "--points", str(good)], capsys)
+    assert code == 0 and "matches the regenerated ensemble bit for bit" in out
+
+
+def test_explicit_theta_zeros_wins_over_the_model_file(tmp_path, capsys):
+    seeded, plain = tmp_path / "seeded.json", tmp_path / "plain.json"
+    model = {"M": 4, "n": 2, "t": [0, 2, 4], "alpha": [0, 4], "beta": [3, 1]}
+    seeded.write_text(json.dumps({**model, "theta_policy": "seed:5"}))
+    plain.write_text(json.dumps(model))
+    outputs = {}
+    for name, argv in {
+        "zeros": ["--model", str(seeded), "--theta", "zeros"],
+        "file": ["--model", str(seeded)],
+        "plain": ["--model", str(plain)],
+        "seed5": ["--model", str(plain), "--theta", "seed:5"],
+    }.items():
+        path = tmp_path / f"{name}.csv"
+        assert run(["gen", *argv, "-o", str(path)], capsys)[0] == 0
+        outputs[name] = path.read_bytes()
+    assert outputs["zeros"] == outputs["plain"]
+    assert outputs["file"] == outputs["seed5"] != outputs["plain"]
+
+
 def test_invalid_model_exits_2(tmp_path, capsys):
     path = tmp_path / "bad_model.json"
     path.write_text(json.dumps({"M": 2, "n": 1, "t": [0, 2],
@@ -401,6 +453,10 @@ RING_TABLE_SHA256 = {
     "discrepancy-9-seed3-polar": (
         ["discrepancy", "--simple-M", "9", "--theta", "seed:3", "--mode", "polar"],
         "fdfbe5516831ef1b1ded2f42cadacd8e0a176452f65c468429cf0697876a2691"),
+    # recorded while the poles were branches of their own in every reader
+    "metrics-two-piece": (
+        ["metrics", "--model", "model.json", "--sup", "none", "--no-energies"],
+        "b95f32fbb4dba9c6f01c0f6bdebe4114db83a83d914448d73093fc2364be0857"),
 }
 
 

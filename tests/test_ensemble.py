@@ -208,13 +208,18 @@ def test_generate_equals_the_per_parallel_reference_bit_for_bit(table_models):
 
 
 def test_ring_table_rounds_each_exact_value_once(table_models):
+    """Row j is ring j = 0..p + 1: the north pole, parallels 1..p, the south
+    pole, each pole a ring of one point at height +-1 with theta 0."""
     for model in table_models:
         rings, b_exact = model.rings, build_partition(model).b_exact
-        assert rings.r.tolist() == list(model.r)
-        assert rings.first.tolist() == list(model.n_partial[:-1])
-        assert rings.theta is model.theta
-        assert rings.z.tolist() == [float(z) for z in model.z_exact]
-        assert rings.s.tolist() == [math.sqrt(float((1 - z) * (1 + z))) for z in model.z_exact]
-        assert rings.b.tolist() == [float(b) for b in b_exact]
+        z_exact = (Fraction(1), *model.z_exact, Fraction(-1))
+        assert rings.r.tolist() == [1, *model.r, 1]
+        assert rings.first.tolist() == [0, *model.n_partial]
+        assert rings.theta.tolist() == [0.0, *model.theta.tolist(), 0.0]
+        assert np.shares_memory(model.theta, rings.theta)
+        assert rings.z.tolist() == [float(z) for z in z_exact]
+        assert rings.s.tolist() == [math.sqrt(float((1 - z) * (1 + z))) for z in z_exact]
+        assert rings.b.tolist() == [1.0, *(float(b) for b in b_exact), -1.0]
+        assert {len(column) for column in vars(rings).values()} == {model.p + 2, model.p + 3}
         for column in vars(rings).values():
             assert not column.flags.writeable

@@ -169,6 +169,26 @@ def test_pointset_provenance_and_access():
     assert tagged.has_provenance
 
 
+def test_pointset_leaves_the_callers_arrays_writable():
+    coords = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    tags = np.array([0, 1], dtype=np.int64)
+    points = PointSet(coords, parallel=tags, index_in_parallel=tags)
+    assert coords.flags.writeable and tags.flags.writeable
+    assert not points.coords.flags.writeable and not points.parallel.flags.writeable
+    coords[0, 2] = 0.5
+    tags[0] = 7
+    assert points.coords[0, 2] == 1.0 and points.parallel[0] == 0
+
+
+def test_pointset_keeps_a_read_only_input_without_a_copy():
+    coords = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    tags = np.array([0, 1], dtype=np.int64)
+    for arr in (coords, tags):
+        arr.setflags(write=False)
+    points = PointSet(coords, parallel=tags)
+    assert points.coords is coords and points.parallel is tags
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pointset_rejects_non_finite_rows(bad):
     with pytest.raises(ValueError):

@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_random_spec, random_unit_points
+from conftest import (
+    covering_upper_bound_reference,
+    locate_many_reference,
+    make_random_spec,
+    matching_reference,
+    random_unit_points,
+)
 from diamondsphere import (
     build_partition,
     covering_upper_bound,
@@ -21,6 +27,7 @@ from diamondsphere import (
     validate,
     verify_matching,
 )
+from diamondsphere.partition import _collar_far_radius
 
 
 def test_region_inventory_m2(simple_suite):
@@ -288,3 +295,53 @@ def test_boundary_formula_equals_the_recurrence_and_mirror_rule():
         hf = np.array([float(v) for v in h])
         want = np.concatenate([[-1.0], -hf, hf[::-1], [1.0]])
         assert part._asc_bounds.tobytes() == want.tobytes()
+
+
+def _differential_models():
+    rng = np.random.default_rng(15)
+    return ([validate(simple_model(M, theta_policy=theta))
+             for M in (1, 2, 3, 40) for theta in ("zeros", "seed:3")]
+            + [validate(make_random_spec(rng, m_lo=1, m_hi=40, theta_policy=f"seed:{k}"))
+               for k in range(300)])
+
+
+def _sphere_rows(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def _locate_probes(model, rng) -> np.ndarray:
+    """The poles, every boundary height and one ulp either side of it (four
+    random longitudes each), every cell-edge longitude at its parallel's
+    height and one ulp either side, and 2,000 random directions."""
+    b = model.rings.b
+    heights = np.concatenate([b, np.nextafter(b, 2.0), np.nextafter(b, -2.0)])
+    heights = np.repeat(heights[np.abs(heights) <= 1.0], 4)
+    r = np.repeat(np.array(model.r), model.r)
+    i = np.arange(1, model.N - 1) - np.repeat(np.array(model.n_partial[:-1]), model.r)
+    edges = (np.repeat(model.theta, model.r) + (2 * i + 1) * math.pi / r) % (2 * math.pi)
+    edges = np.concatenate([edges, np.nextafter(edges, 10.0), np.nextafter(edges, -10.0)])
+    z = np.tile(np.repeat([float(v) for v in model.z_exact], model.r), 3)
+    return np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                      _sphere_rows(heights, rng.uniform(0.0, 2 * math.pi, len(heights))),
+                      _sphere_rows(z, edges), random_unit_points(rng, 2000)])
+
+
+def test_ring_table_readers_equal_the_pole_branch_references():
+    """locate_many, verify_matching's expected ids and covering_upper_bound
+    read the poles as rings of one cell; each equals its reference with the
+    poles set apart, on probes at and beside every boundary and cell edge.
+    The cap rim never decides the covering bound, so the pole rows of
+    _collar_far_radius are checked on their own."""
+    rng = np.random.default_rng(16)
+    for model in _differential_models():
+        part, points = build_partition(model), generate(model)
+        probes = np.vstack([points.coords, _locate_probes(model, rng)])
+        assert np.array_equal(part.locate_many(probes), locate_many_reference(part, probes))
+        report = verify_matching(part, points)
+        assert report.ok, report.failures[:4]
+        assert np.array_equal(report.point_to_region, matching_reference(model))
+        assert covering_upper_bound(part) == covering_upper_bound_reference(part)
+        b, z = model.rings.b.tolist(), model.rings.z.tolist()
+        for j in (0, model.p + 1):  # a cap's farthest point is its rim
+            assert _collar_far_radius(b[j], b[j + 1], z[j], 1) == math.sqrt(2.0 - 2.0 * b[1])

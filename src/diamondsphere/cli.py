@@ -209,7 +209,7 @@ def cmd_partition(args) -> int:
 
 def _check_ensemble_file(path: str, points: PointSet, error: type[Exception]) -> None:
     """Every column of the file must equal what write_points_csv writes for points."""
-    table, _ = _read_points(path)
+    table, _ = _read_points(path)  # its points pass PointSet's row checks, as in any file
     columns = zip(CSV_HEADER, _csv_columns(points))
     if any(table[k].tolist() != list(v) for k, v in columns):
         raise error(f"{path} does not match the model ensemble")

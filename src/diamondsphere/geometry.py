@@ -132,7 +132,7 @@ class PointSet:
 def _read_only(a, dtype) -> np.ndarray:
     """a as a read-only C-contiguous array, never freezing the caller's array."""
     keep = isinstance(a, np.ndarray) and not a.flags.writeable
-    a = np.array(a, dtype=dtype, order="C", copy=None if keep else True)
+    a = (np.asarray if keep else np.array)(a, dtype=dtype, order="C")  # np.array copies
     a.setflags(write=False)
     return a
 

@@ -106,23 +106,20 @@ class Partition:
     # -- region materialization -------------------------------------------
 
     def region(self, region_id: int) -> Region:
-        N, b, bf = self.model.N, self.b_exact, self.model.rings.b
-        if region_id == 0:
-            return Region(0, "cap_north", 0, 0, None, None,
-                          float(bf[1]), 1.0, b[0], Fraction(1), 0)
-        if region_id == N - 1:
-            return Region(N - 1, "cap_south", 0, 0, None, None,
-                          -1.0, float(bf[-2]), Fraction(-1), b[-1], N - 1)
-        if not 0 < region_id < N - 1:
+        N, rings, b = self.model.N, self.model.rings, self.b_exact
+        if not 0 <= region_id < N:
             raise IndexError(f"region id {region_id} outside 0..{N - 1}")
-        j = bisect_right(self.model.n_partial, region_id)
-        first, r = self.model.n_partial[j - 1], self.model.r[j - 1]
+        j = bisect_right(self.model.n_partial, region_id)  # its ring, 0..p + 1
+        first, r = int(rings.first[j]), int(rings.r[j])
         i = region_id - first
-        phi_lo = _phi_lo(self.model.rings, j, i)
-        return Region(
-            region_id, "rect", j, i, phi_lo, phi_lo + TWO_PI / r,
-            float(bf[j + 1]), float(bf[j]), b[j], b[j - 1], first + (i + 1) % r,
-        )
+        lo = b[j] if j < len(b) else Fraction(-1)  # b_exact stops short of the poles
+        hi = b[j - 1] if j else Fraction(1)
+        rest = (float(rings.b[j + 1]), float(rings.b[j]), lo, hi, first + (i + 1) % r)
+        if not 0 < j <= self.model.p:  # a cap carries j = i = 0 and no longitudes
+            return Region(region_id, "cap_north" if j == 0 else "cap_south", 0, 0, None, None,
+                          *rest)
+        phi_lo = _phi_lo(rings, j, i)
+        return Region(region_id, "rect", j, i, phi_lo, phi_lo + TWO_PI / r, *rest)
 
     def __iter__(self) -> Iterator[Region]:
         for rid in range(self.n_regions):
@@ -180,8 +177,10 @@ def region_area(region: Region) -> float:
     1 - h cancels to a few float digits, while the rational difference
     rounds just once.
     """
-    dphi = TWO_PI if region.kind != "rect" else region.phi_hi - region.phi_lo
-    return dphi * float(region.h_hi_exact - region.h_lo_exact)
+    dh = float(region.h_hi_exact - region.h_lo_exact)
+    if region.kind in ("cap_north", "cap_south"):
+        return TWO_PI * dh
+    return (region.phi_hi - region.phi_lo) * dh
 
 
 def region_area_fraction_exact(partition: Partition, region: Region) -> Fraction:

@@ -280,7 +280,7 @@ def cmd_discrepancy(args) -> int:
         out["value"] = float(eq.exact)
         out["counting"] = eq.counting
     elif args.mode == "l2-stolarsky":
-        out["value"] = l2_discrepancy_stolarsky(points)
+        out["value"] = l2_discrepancy_stolarsky(points, model)
     elif args.mode == "l2-quadrature":
         out["value"] = l2_discrepancy_quadrature(points, n_centers=args.quad_centers)
     else:

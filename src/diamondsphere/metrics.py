@@ -8,9 +8,20 @@ everything else, and the L2 discrepancy by two independent routes (the
 distance-sum identity, and a grid of cap centers with the height
 integral done exactly).
 
-Determinism contract: every randomized routine takes an explicit seed,
-and the pair sweep runs over a tiling fixed by N, combining per-row
-partial sums with exact summation, so the tiling fixes every result.
+Pairwise sums (Riesz, log and distance, and the Stolarsky L2 from the
+distance sum) take one of two routes.  A point set equal bit for bit to
+generate(model), with that model given, takes the ring route
+(_ring_sums): each ring pair is a circulant block whose sum is one
+periodic mean, taken on the fewest equally spaced nodes whose proved
+alias bound is below _RING_ALIAS_TOL, or on all lcm(r_a, r_b) offsets
+where no bound is proved.  Every other point set, and the public
+riesz_energy, log_energy and sum_distances, take the O(N^2) tile sweep
+(_pair_sums), which stops past _PAIR_SWEEP_MAX_PAIRS pairs.
+
+Determinism contract: every randomized routine takes an explicit seed.
+The pair sweep runs over a tiling fixed by N, and the ring route over
+node blocks fixed by the model; each combines its partial sums with
+exact summation, so the tiling or the blocks fix every result.
 """
 
 from __future__ import annotations
@@ -139,15 +150,15 @@ def _cube_pairs(coords: np.ndarray, h: float):
     return order, blocks()
 
 
-def _range_blocks(lo: np.ndarray, hi: np.ndarray):
+def _range_blocks(lo: np.ndarray, hi: np.ndarray, block: int = _SEPARATION_BLOCK_PAIRS):
     """Nonempty blocks (r, c) of the pairs lo[r] <= c < hi[r], in row order:
-    whole rows, at most _SEPARATION_BLOCK_PAIRS pairs unless one row has more."""
+    whole rows, at most block pairs unless one row has more."""
     length = hi - lo
     end = np.cumsum(length)
     row = 0
     while row < len(lo):
         base = end[row] - length[row]
-        stop = max(row + 1, int(np.searchsorted(end, base + _SEPARATION_BLOCK_PAIRS, "right")))
+        stop = max(row + 1, int(np.searchsorted(end, base + block, "right")))
         n_pairs = int(end[stop - 1] - base)
         if n_pairs:
             run = length[row:stop]
@@ -304,9 +315,14 @@ def _exhaustive_offset(coords: np.ndarray) -> float:
 
 
 def _covering_budget(work: int, what: str) -> None:
-    if work > _COVERING_MAX_WORK:
-        raise ValueError(f"covering radius needs {work} {what}, over {_COVERING_MAX_WORK}: "
-                         "the points lie in a hemisphere or leave a large hole")
+    _work_budget(work, _COVERING_MAX_WORK, f"covering radius {what}",
+                 "the points lie in a hemisphere or leave a large hole")
+
+
+def _work_budget(work: int, limit: int, what: str, hint: str) -> None:
+    """Stop a super-linear kernel before it starts work past its limit."""
+    if work > limit:
+        raise ValueError(f"{what}: {work} over the limit of {limit}; {hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +370,11 @@ def _tile_partials(xyz, a: int, riesz_s: tuple[float, ...], log: bool,
     return np.array(out)
 
 
+# Pairs the tiled sweep may take, about 11 s at 11 ns a pair: N = 40,002
+# (8.0e8 pairs) runs, N = 10^6 (5e11 pairs, about 1.5 h) stops at once.
+_PAIR_SWEEP_MAX_PAIRS = 1_000_000_000
+
+
 def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
                log: bool = False, distance: bool = False) -> list[float]:
     """2 * sum over i < j of each requested kernel, in one sweep of the pairs.
@@ -362,21 +383,32 @@ def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
     distance sum.  Squared distances are computed once per tile and
     shared by every kernel.  The tiles are fixed by N and each row's
     partials are combined with exact summation, so the tiling fixes the
-    results bit for bit.  Riesz and log sums raise DuplicatePointError on
-    coincident points, which a distance-only sweep accepts; ValueError for
-    an exponent outside 0 < s < inf or a Riesz sum that overflows.
+    results bit for bit.  This is the route for any point set; a model's
+    own ensemble takes _ring_sums through _energy_sums instead.  Riesz and
+    log sums raise DuplicatePointError on coincident points, which a
+    distance-only sweep accepts; ValueError for an exponent outside
+    0 < s < inf, a Riesz sum that overflows, or more than
+    _PAIR_SWEEP_MAX_PAIRS pairs.
     """
     _check_riesz_s(riesz_s)
     n = len(coords)
     if n < 2:
         raise ValueError("pairwise sums need at least two points")
+    _work_budget(n * (n - 1) // 2, _PAIR_SWEEP_MAX_PAIRS, "point pairs of the energy sweep",
+                 "metrics --no-energies skips the energies, not the Stolarsky L2's distance sum")
     xyz = tuple(np.ascontiguousarray(coords[:, k]) for k in range(3))
     with np.errstate(over="ignore"):  # an overflow is reported below
         partials = np.concatenate([_tile_partials(xyz, a, riesz_s, log, distance)
                                    for a in range(0, n - 1, _TILE_ROWS)], axis=1)
+    return _doubled_totals(riesz_s, partials)
+
+
+def _doubled_totals(riesz_s: tuple[float, ...], rows) -> list[float]:
+    """2 * the exact sum of each kernel's row of partials, in riesz_s, log,
+    distance order; ValueError for a Riesz total that overflows."""
     totals = []
     # Log and distance terms are bounded: only a Riesz row, with its s, can overflow.
-    for s, row in itertools.zip_longest(riesz_s, partials):
+    for s, row in itertools.zip_longest(riesz_s, rows):
         try:
             totals.append(2.0 * math.fsum(row))
         except OverflowError:  # finite partials whose sum overflows
@@ -384,6 +416,117 @@ def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
         if math.isinf(totals[-1]):
             raise ValueError(f"Riesz sum for s = {s} overflows a float")
     return totals
+
+
+# Relative alias tolerance of the ring route (absolute for the log kernel).
+_RING_ALIAS_TOL = 1e-18
+
+# Nodes per block of the ring route: its temporaries stay near 64 kB an
+# array, which ran as fast as 2**14..2**16 nodes at M = 40 and 200 and
+# kept the peak under 1 MB at M = 20.  The blocks depend on the model only,
+# so they fix the order of summation, as the tiles do for the sweep.
+_RING_BLOCK_NODES = 1 << 13
+
+
+def _ring_pairs(model: DiamondModel):
+    """Ring pairs a < b of the model: (a, b, d0, near, L, K).
+
+    Between rings a != b, ||x - y||^2 = d0 + near sin^2(psi/2) with
+    d0 = (z_a - z_b)^2 + (s_a - s_b)^2 and near = 4 s_a s_b, a form with no
+    cancellation, and the r_a r_b angle gaps psi are the L = lcm(r_a, r_b)
+    offsets theta_a - theta_b + 2 pi k/L, each gcd(r_a, r_b) times.  So the
+    pair sums to r_a r_b times the kernel's mean over those offsets.
+
+    K is the node count whose n-node mean the alias bound puts within
+    tol w of the kernel's mean f^(0), tol = _RING_ALIAS_TOL.  Write
+    d0 + near sin^2(psi/2) = u |1 - rho e^{i psi}|^2, with
+    tau = sqrt(d0/(d0 + near)), rho = (1 - tau)/(1 + tau) and
+    sqrt(u) = (sqrt(d0 + near) + sqrt(d0))/2.  Then:
+      log, -log d:         f^(m) = rho^m/(2m), and w = 1;
+      distance, d:         |f^(m)| <= sqrt(u) rho^m/(1 - rho^2), w = f^(0) >= sqrt(u);
+      Riesz, d^-s, s <= 2: |f^(m)| <= u^(-s/2) rho^m/(1 - rho^2),
+                           w = f^(0) >= u^(-s/2),
+    from the binomial series of (1 - rho e^{i psi})^(1/2) and ^(-s/2), whose
+    coefficients lie in [-1/2, 1] and [0, 1]; f^(0) is bounded below by
+    Jensen's inequality.  Each gives |f^(m)| <= 2 w rho^m/(1 - rho^2), so
+    the n-node mean is within 2 sum_{l >= 1} |f^(l n)| <=
+    4 w rho^n/((1 - rho^n)(1 - rho^2)) of f^(0).  That is at most tol w
+    once rho^n <= t/(1 + t), t = tol (1 - rho^2)/4, and K is the least
+    integer above log(t/(1 + t))/log(rho).  The exact L-offset mean
+    obeys the same bound, so at K < L the K-node mean is within 2 tol w of
+    it: the cutoff is a certificate, not a tuning.  A pole has rho = 0 and
+    K = 1.  A Riesz exponent s > 2 has no proved bound and takes L nodes.
+    """
+    a, b = np.triu_indices(model.p + 2, 1)
+    rings = model.rings
+    d0 = (rings.z[a] - rings.z[b]) ** 2 + (rings.s[a] - rings.s[b]) ** 2
+    near = 4.0 * rings.s[a] * rings.s[b]
+    tau = np.sqrt(d0 / (d0 + near))
+    t = _RING_ALIAS_TOL * tau / (1.0 + tau) ** 2  # tol (1 - rho^2)/4
+    with np.errstate(divide="ignore"):  # log rho = -inf at a pole
+        k = np.floor(np.log(t / (1.0 + t)) / (np.log1p(-tau) - np.log1p(tau))) + 1.0
+    return a, b, d0, near, np.lcm(rings.r[a], rings.r[b]), k
+
+
+def _ring_sums(model: DiamondModel, riesz_s: tuple[float, ...] = (),
+               log: bool = False, distance: bool = False) -> list[float]:
+    """_pair_sums' totals on generate(model), from its rings.
+
+    A ring pair a < b is r_a r_b times the mean over n = min(L, K) equally
+    spaced offsets (_ring_pairs), and a Riesz exponent s > 2 takes n = L,
+    the exact sum.  A ring with itself sums to r times the kernel over the
+    chords 2 s sin(pi k/r), k = 1 .. r - 1.  The kernels under the alias
+    bound share one node set and the others the exact one, so a fused call
+    and a single-kernel call agree bit for bit.  Nodes are weighted and
+    summed in blocks of _RING_BLOCK_NODES, fixed by the model, and the block
+    sums are combined with exact summation.  O(p^2 + N + sum of n) work.
+    ValueError for a Riesz sum that overflows, as _pair_sums.
+    """
+    _check_riesz_s(riesz_s)
+    rings, ring = model.rings, np.arange(model.p + 2)
+    a, b, d0, near, lcm, k = _ring_pairs(model)
+    # Ring pairs, then every ring with itself; node j runs over first <= j < n.
+    a, b = np.concatenate([a, ring]), np.concatenate([b, ring])
+    d0 = np.concatenate([d0, np.zeros(len(ring))])
+    near = np.concatenate([near, 4.0 * rings.s ** 2])
+    half_shift = (rings.theta[a] - rings.theta[b]) / 2.0
+    first = np.repeat([0, 1], [len(lcm), len(ring)])
+    # Half of each row's ordered pairs, which _doubled_totals doubles:
+    # r_a r_b for a ring pair, r^2/2 for a ring with itself.
+    pairs = rings.r[a] * rings.r[b] / np.where(first, 2.0, 1.0)
+
+    kernels = [lambda d2, s=s: 1.0 / np.sqrt(d2) if s == 1.0 else d2 ** (-s / 2.0)
+               for s in riesz_s]
+    if log:
+        kernels.append(lambda d2: -0.5 * np.log(d2))
+    if distance:
+        kernels.append(np.sqrt)
+    exact = [s > 2.0 for s in riesz_s] + [False] * (len(kernels) - len(riesz_s))
+    partials = [[] for _ in kernels]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for on_all_offsets in (False, True):
+            group = [i for i, x in enumerate(exact) if x == on_all_offsets]
+            if not group:
+                continue
+            n = np.concatenate([lcm if on_all_offsets else np.minimum(lcm, k).astype(np.int64),
+                                rings.r])
+            weight = pairs / n
+            for e, j in _range_blocks(first, n, _RING_BLOCK_NODES):
+                d2 = d0[e] + near[e] * np.sin(half_shift[e] + np.pi * j / n[e]) ** 2
+                w = weight[e]
+                for i in group:
+                    partials[i].append(float((w * kernels[i](d2)).sum()))
+    return _doubled_totals(riesz_s, partials)
+
+
+def _energy_sums(points, model: DiamondModel | None, riesz_s: tuple[float, ...] = (),
+                 log: bool = False, distance: bool = False) -> list[float]:
+    """_pair_sums' totals, from the rings when points are generate(model)
+    bit for bit (an O(N) check that trusts no tag), else by the sweep."""
+    coords = _as_coords(points)
+    if model is not None and np.array_equal(coords, generate(model).coords):
+        return _ring_sums(model, riesz_s, log, distance)
+    return _pair_sums(coords, riesz_s, log, distance)
 
 
 def _check_riesz_s(riesz_s) -> None:
@@ -720,8 +863,11 @@ def _stolarsky_l2(distance_sum: float, n: int) -> float:
     return math.sqrt(max(0.0, gap) / STOLARSKY_CONSTANT)
 
 
-def l2_discrepancy_stolarsky(points) -> float:
+def l2_discrepancy_stolarsky(points, model: DiamondModel | None = None) -> float:
     """L2 cap discrepancy via the distance-sum identity (see module head).
+
+    With the model whose ensemble the points are, bit for bit, the distance
+    sum comes from its rings (_energy_sums), as in compute_metrics.
 
     D = sqrt((4/3 - S/N^2)/8) cancels most digits of the distance sum S:
     a rounding error e in S/N^2 moves D by e/(16 D) absolute, and S/N^2
@@ -733,7 +879,7 @@ def l2_discrepancy_stolarsky(points) -> float:
     """
     coords = _as_coords(points)
     n = len(coords)
-    return _stolarsky_l2(0.0 if n == 1 else sum_distances(coords), n)
+    return _stolarsky_l2(0.0 if n == 1 else _energy_sums(coords, model, distance=True)[0], n)
 
 
 def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
@@ -826,7 +972,12 @@ def compute_metrics(points: PointSet,
                     sup_samples: int = 10_000,
                     sup_seed: int = 0,
                     l2_quadrature: bool = False) -> MetricsReport:
-    """One-stop metrics bundle used by the command-line front end."""
+    """One-stop metrics bundle used by the command-line front end.
+
+    The energies and the Stolarsky L2 come from the model's rings when the
+    model is given and points equal generate(model) bit for bit, and from
+    the tile sweep otherwise (_energy_sums).
+    """
     if sup_mode not in ("exact", "estimate", None):
         raise ValueError(f"unknown sup mode {sup_mode!r}")
     n = len(points)
@@ -843,11 +994,11 @@ def compute_metrics(points: PointSet,
         if partition is not None:
             rep.mesh_ratio = cov.upper_bound / rep.separation
         if energies:
-            *riesz, rep.log_energy, rep.sum_distances = _pair_sums(
-                _as_coords(points), riesz_s, log=True, distance=True)
+            *riesz, rep.log_energy, rep.sum_distances = _energy_sums(
+                points, model, riesz_s, log=True, distance=True)
             rep.riesz = {str(s): v for s, v in zip(riesz_s, riesz)}
     if rep.sum_distances is None:
-        rep.d_l2_stolarsky = l2_discrepancy_stolarsky(points)
+        rep.d_l2_stolarsky = l2_discrepancy_stolarsky(points, model)
     else:
         rep.d_l2_stolarsky = _stolarsky_l2(rep.sum_distances, n)
     if l2_quadrature:

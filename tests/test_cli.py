@@ -472,16 +472,19 @@ def test_ring_table_outputs_match_golden_digests(label, tmp_path, capsys, monkey
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-# sha256 of the stdout of the pair-sweep commands, from the sweep when it
-# still had a thread pool; neither runs the BLAS-dependent sup sweep.
+# sha256 of the stdout of the pair-sum commands, which take the ring route,
+# recorded once every printed sum matched the tile sweep at rel 1e-12 (the
+# Stolarsky D, which cancels digits, at 8.7e-12 and its D^2 at abs 3e-17);
+# neither runs the BLAS-dependent sup sweep.  test_pair_kernel.py pins the
+# sweep's own bits.
 PAIR_SWEEP_SHA256 = {
     "metrics-12-seed4": (
         ["metrics", "--simple-M", "12", "--theta", "seed:4", "--riesz-s", "0.5,1,2",
          "--sup", "none"],
-        "19f0c37d617efcc574b546a5e305982c344fe39e37b510b82e750611d143f8a9"),
+        "f630d78c4fa59c286c9f0770773dc4ddb9086e34525d5e6fce0deb6e8a6a5bfa"),
     "discrepancy-20-seed3-l2-stolarsky": (
         ["discrepancy", "--simple-M", "20", "--theta", "seed:3", "--mode", "l2-stolarsky"],
-        "2c8ed15d3b3e69ae88183a50d31d478531f181cd798ebbe225424f42f72c098e"),
+        "7ab9c8441aaaa3a49b7b990922b247fa1659979d75c05603534162ecf63f0d88"),
 }
 
 
@@ -548,18 +551,58 @@ def test_riesz_exponents_are_checked_without_energies(exponent, capsys):
 
 def test_repeated_riesz_exponent_runs_once(monkeypatch, capsys):
     swept = []
-    pair_sums = diamondsphere.metrics._pair_sums
+    energy_sums = diamondsphere.metrics._energy_sums
 
-    def spy(coords, riesz_s=(), **kw):
+    def spy(points, model, riesz_s=(), **kw):
         swept.append(riesz_s)
-        return pair_sums(coords, riesz_s, **kw)
+        return energy_sums(points, model, riesz_s, **kw)
 
-    monkeypatch.setattr(diamondsphere.metrics, "_pair_sums", spy)
+    monkeypatch.setattr(diamondsphere.metrics, "_energy_sums", spy)
     argv = ["metrics", "--simple-M", "3", "--sup", "none", "--riesz-s"]
     _, once, _ = run(argv + ["1,2"], capsys)
     _, repeated, _ = run(argv + ["1,2,1.0,2"], capsys)
     assert repeated == once
     assert swept == [(1.0, 2.0), (1.0, 2.0)]
+
+
+def test_points_file_and_its_model_agree_across_routes(tmp_path, capsys):
+    """--points alone takes the pair sweep, with its model the ring route."""
+    pts = str(tmp_path / "pts.csv")
+    run(["gen", "--simple-M", "12", "--theta", "seed:3", "-o", pts], capsys)
+    argv = ["metrics", "--points", pts, "--sup", "none", "--riesz-s", "0.5,1,2,3"]
+    _, swept, _ = run(argv, capsys)
+    _, ringed, _ = run(argv + ["--simple-M", "12", "--theta", "seed:3"], capsys)
+    swept, ringed = json.loads(swept), json.loads(ringed)
+    for key in ("separation", "covering_estimate", "mesh_ratio_estimate"):
+        assert ringed[key] == swept[key]
+    for s in ("0.5", "1.0", "2.0", "3.0"):
+        assert math.isclose(ringed["riesz"][s], swept["riesz"][s], rel_tol=1e-12)
+    for key in ("log_energy", "sum_distances"):
+        assert math.isclose(ringed[key], swept[key], rel_tol=1e-12)
+    # D cancels digits of the distance sum; D^2 keeps its absolute error
+    assert math.isclose(ringed["d_l2_stolarsky"] ** 2, swept["d_l2_stolarsky"] ** 2,
+                        rel_tol=0.0, abs_tol=1e-15)
+
+
+def test_metrics_and_discrepancy_print_one_stolarsky_value(capsys):
+    model = ["--simple-M", "20", "--theta", "seed:3"]
+    _, metrics, _ = run(["metrics", *model, "--sup", "none"], capsys)
+    _, disc, _ = run(["discrepancy", *model, "--mode", "l2-stolarsky"], capsys)
+    assert json.loads(metrics)["d_l2_stolarsky"] == json.loads(disc)["value"]
+
+
+def test_pair_sweep_past_its_budget_exits_2(tmp_path, capsys, monkeypatch):
+    """The sweep stops before it starts and names the flag that avoids it;
+    a model's own ensemble takes the ring route, which has no budget."""
+    monkeypatch.setattr(diamondsphere.metrics, "_PAIR_SWEEP_MAX_PAIRS", 100)
+    pts = str(tmp_path / "pts.csv")
+    run(["gen", "--simple-M", "3", "-o", pts], capsys)  # 38 points, 703 pairs
+    code, out, err = run(["metrics", "--points", pts, "--sup", "none"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "703" in err and "--no-energies" in err
+    for model in (["--simple-M", "3"], ["--simple-M", "3", "--points", pts]):
+        code, out, _ = run(["metrics", *model, "--sup", "none"], capsys)
+        assert code == 0 and json.loads(out)["sum_distances"] > 0
 
 
 @pytest.mark.parametrize("extra", [[], ["--no-energies"]], ids=["energies", "no-energies"])

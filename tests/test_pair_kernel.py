@@ -1,5 +1,6 @@
 """The tiled pair sweep against the per-row reference loop it replaced."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from diamondsphere import (
     sum_distances,
     validate,
 )
-from diamondsphere.metrics import _TILE_ROWS, _pair_sums
+from diamondsphere.metrics import _TILE_ROWS, _pair_sums, _ring_sums
 
 RIESZ_S = (0.5, 1.0, 2.0, 3.0)
 
@@ -108,10 +109,30 @@ def test_compute_metrics_reuses_the_distance_sum():
     model = validate(simple_model(5, theta_policy="seed:3"))
     pts = generate(model)
     rep = compute_metrics(pts, model, riesz_s=(1.0, 2.0), sup_mode=None)
-    assert rep.sum_distances == sum_distances(pts)
-    assert rep.d_l2_stolarsky == l2_discrepancy_stolarsky(pts)
-    assert rep.log_energy == log_energy(pts)
-    assert rep.riesz == {"1.0": riesz_energy(pts, 1.0), "2.0": riesz_energy(pts, 2.0)}
+    riesz_1, riesz_2, log_sum, dist = _ring_sums(model, (1.0, 2.0), log=True, distance=True)
+    assert rep.sum_distances == dist
+    assert rep.d_l2_stolarsky == l2_discrepancy_stolarsky(pts, model)
+    assert rep.log_energy == log_sum
+    assert rep.riesz == {"1.0": riesz_1, "2.0": riesz_2}
+    # the ring route against the public sweep functions
+    assert math.isclose(rep.sum_distances, sum_distances(pts), rel_tol=1e-12)
+    assert math.isclose(rep.log_energy, log_energy(pts), rel_tol=1e-12)
+    for s in (1.0, 2.0):
+        assert math.isclose(rep.riesz[str(s)], riesz_energy(pts, s), rel_tol=1e-12)
+    assert math.isclose(rep.d_l2_stolarsky ** 2, l2_discrepancy_stolarsky(pts) ** 2,
+                        rel_tol=0.0, abs_tol=1e-15)
+
+
+# sha256 of repr(_pair_sums(generate(M=12, seed:4).coords, (0.5, 1, 2), log=True,
+# distance=True)), recorded before metrics took the ring route for a model's
+# ensemble: the sweep of arbitrary point sets keeps its bits.
+SWEEP_SHA256 = "1a514cade626252135992e458464f59521c2db995b4d542ee52fcf0ec7f082dc"
+
+
+def test_pair_sweep_bits_are_pinned():
+    coords = generate(validate(simple_model(12, theta_policy="seed:4"))).coords
+    totals = _pair_sums(coords, (0.5, 1, 2), log=True, distance=True)
+    assert hashlib.sha256(repr(totals).encode()).hexdigest() == SWEEP_SHA256
 
 
 def test_duplicates_break_energies_not_distances():

@@ -40,7 +40,9 @@ from .metrics import (
     sup_discrepancy_exact,
 )
 from .partition import (
+    Partition,
     VerificationFailure,
+    _region_rings,
     build_partition,
     certify,
     partition_records,
@@ -50,7 +52,6 @@ from .partition import (
 from . import plotting
 
 CSV_HEADER = ["index", "parallel", "i", "x", "y", "z", "phi", "z_height"]
-_CSV_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 _CSV_DTYPE = [(name, np.int64 if name in ("index", "parallel", "i") else float)
               for name in CSV_HEADER]
 
@@ -64,9 +65,22 @@ def _csv_columns(points: PointSet) -> list:
 
 
 def write_points_csv(path: str, points: PointSet) -> None:
-    rows = zip(*_csv_columns(points))
+    """The CSV_HEADER columns, streamed one run of rows at a time.
+
+    A run is a stretch of rows whose z has the same bits (a ring of a
+    generated ensemble; 0.0 and -0.0 print apart).  Its z is formatted
+    once, for both the z and z_height columns.
+    """
+    index, parallel, i, x, y, z, phi, _ = _csv_columns(points)
+    bits = points.coords[:, 2].view(np.int64)
+    bounds = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(z)]
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join([",".join(CSV_HEADER), *(_CSV_ROW % row for row in rows)]) + "\n")
+        f.write(",".join(CSV_HEADER) + "\n")
+        for a, b in zip(bounds, bounds[1:]):
+            zs = "%.17g" % z[a]
+            row = f"%d,%d,%d,%.17g,%.17g,{zs},%.17g,{zs}\n"
+            f.write("".join([row % r for r in zip(index[a:b], parallel[a:b], i[a:b],
+                                                   x[a:b], y[a:b], phi[a:b])]))
 
 
 def _read_points(path: str) -> tuple[np.ndarray, PointSet]:
@@ -187,20 +201,29 @@ PARTITION_CSV_COLUMNS = [
 ]
 
 
+def write_partition_csv(path: str, partition: Partition) -> None:
+    """The PARTITION_CSV_COLUMNS of every region, streamed one ring at a time.
+
+    A ring's kind, j, float heights and exact heights are formatted once;
+    a missing longitude prints as an empty field.
+    """
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(PARTITION_CSV_COLUMNS) + "\n")
+        for reg, rid, i, phi_lo, phi_hi, matched in _region_rings(partition):
+            row = (f"%d,{reg.kind},{reg.j},%d,%s,%s,{reg.h_lo!r},{reg.h_hi!r},"
+                   f"{reg.h_lo_exact},{reg.h_hi_exact},%d\n")
+            lo, hi = (["" if v is None else v for v in c] for c in (phi_lo, phi_hi))
+            f.write("".join([row % cell for cell in zip(rid, i, lo, hi, matched)]))
+
+
 def cmd_partition(args) -> int:
     model = _resolve_model(args)
     part = build_partition(model)
-    records = partition_records(part)
     if args.output not in (None, "-") and args.output.endswith(".csv"):
-        lines = [",".join(PARTITION_CSV_COLUMNS)]
-        for rec in records:
-            lines.append(",".join("" if rec[c] is None else str(rec[c])
-                                  for c in PARTITION_CSV_COLUMNS))
-        with open(args.output, "w", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
+        write_partition_csv(args.output, part)
         return 0
     payload = _model_sidecar(model)
-    payload["regions"] = records
+    payload["regions"] = partition_records(part)
     payload["polar_cap_radius"] = polar_cap_radius(part)
     payload["covering_upper_bound"] = covering_upper_bound(part)
     _dump_json(payload, args.output)

@@ -480,7 +480,9 @@ def _ring_sums(model: DiamondModel, riesz_s: tuple[float, ...] = (),
     and a single-kernel call agree bit for bit.  Nodes are weighted and
     summed in blocks of _RING_BLOCK_NODES, fixed by the model, and the block
     sums are combined with exact summation.  O(p^2 + N + sum of n) work.
-    ValueError for a Riesz sum that overflows, as _pair_sums.
+    ValueError for a Riesz sum that overflows, as _pair_sums, and, before
+    any work, for an exponent s > 2 whose sum of L over the ring pairs plus
+    N passes _PAIR_SWEEP_MAX_PAIRS nodes.
     """
     _check_riesz_s(riesz_s)
     rings, ring = model.rings, np.arange(model.p + 2)
@@ -502,6 +504,11 @@ def _ring_sums(model: DiamondModel, riesz_s: tuple[float, ...] = (),
     if distance:
         kernels.append(np.sqrt)
     exact = [s > 2.0 for s in riesz_s] + [False] * (len(kernels) - len(riesz_s))
+    if any(exact):
+        _work_budget(int(lcm.sum()) + model.N, _PAIR_SWEEP_MAX_PAIRS,
+                     "nodes of the exact ring sums for a Riesz exponent s > 2",
+                     "metrics --no-energies skips them; Riesz exponents of at most 2 "
+                     "need far fewer nodes")
     partials = [[] for _ in kernels]
     with np.errstate(over="ignore"):  # an overflow is reported below
         for on_all_offsets in (False, True):

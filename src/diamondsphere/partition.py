@@ -11,7 +11,8 @@ rational arithmetic from ``Partition.b_exact``; every float, and r, theta
 and the first index N_j of a ring, comes from ``DiamondModel.rings``,
 whose rings 0 and p + 1 are the polar caps, one cell each.  ``certify``
 runs every check that the ``verify`` command reports, and
-``partition_records`` builds the records ring by ring.
+``_region_rings`` lists the regions ring by ring for ``partition_records``
+and the ``partition`` command's CSV.
 
 Region ownership conventions (fixed for the whole package):
 
@@ -189,7 +190,7 @@ def region_area_fraction_exact(partition: Partition, region: Region) -> Fraction
     The area element splits as dphi * dh, so a cell of a ring of r covers
     (dh/2) / r of the sphere; a cap is a ring of one cell.
     """
-    r = partition.model.r[region.j - 1] if region.kind == "rect" else 1
+    r = int(partition.model.rings.r[region.j])  # a cap's j = 0 is a ring of one cell
     return (region.h_hi_exact - region.h_lo_exact) / (2 * r)
 
 
@@ -363,25 +364,35 @@ def covering_upper_bound(partition: Partition) -> float:
                for h_hi, h_lo, z, r in zip(b, b[1:], rings.z.tolist(), rings.r.tolist()))
 
 
-def partition_records(partition: Partition) -> list[dict]:
-    """Flat serializable description of every region, in region-id order.
+def _region_rings(partition: Partition) -> Iterator[tuple[Region, list, list, list, list, list]]:
+    """Per ring, in region-id order: its first Region, then the lists of its
+    cells' region_id, i, phi_lo, phi_hi and matched_point.
 
-    The cells of a ring differ from its first cell only in their id, i,
-    longitudes and matched point, so each ring takes one region() call.
+    The cells of a ring differ from its first cell only in these five
+    fields, so each ring takes one region() call.  A cap is one cell with
+    no longitudes, None in both lists.
     """
     rings = partition.model.rings
-    records = []
     for j, (rid, r) in enumerate(zip(rings.first.tolist(), rings.r.tolist())):
         reg = partition.region(rid)
-        base = {**vars(reg), "h_lo_exact": str(reg.h_lo_exact), "h_hi_exact": str(reg.h_hi_exact)}
-        if reg.kind != "rect":  # a cap record carries no longitudes
-            records.append(base)
-            continue
         i = np.arange(r)
-        phi_lo = _phi_lo(rings, j, i)
+        if reg.phi_lo is None:
+            phi_lo = phi_hi = [None]
+        else:
+            lo = _phi_lo(rings, j, i)
+            phi_lo, phi_hi = lo.tolist(), (lo + TWO_PI / r).tolist()
+        yield reg, (rid + i).tolist(), i.tolist(), phi_lo, phi_hi, (rid + (i + 1) % r).tolist()
+
+
+def partition_records(partition: Partition) -> list[dict]:
+    """Flat serializable description of every region, in region-id order,
+    built ring by ring from _region_rings, which the partition command's
+    CSV writer shares."""
+    records = []
+    for reg, *cells in _region_rings(partition):
+        base = {**vars(reg), "h_lo_exact": str(reg.h_lo_exact), "h_hi_exact": str(reg.h_hi_exact)}
         records.extend(
-            {**base, "region_id": rid + k, "i": k, "phi_lo": lo, "phi_hi": hi, "matched_point": m}
-            for k, lo, hi, m in zip(range(r), phi_lo.tolist(), (phi_lo + TWO_PI / r).tolist(),
-                                    (rid + (i + 1) % r).tolist())
+            {**base, "region_id": rid, "i": i, "phi_lo": lo, "phi_hi": hi, "matched_point": m}
+            for rid, i, lo, hi, m in zip(*cells)
         )
     return records

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from diamondsphere import metrics
+from diamondsphere import cli, metrics
 from diamondsphere import (
     DiamondModel,
     ModelSpec,
@@ -19,7 +19,7 @@ from diamondsphere import (
 )
 from diamondsphere.geometry import BOUNDARY_TOL, TWO_PI, SphericalCap, UnitVec
 from diamondsphere.metrics import SupDiscrepancy
-from diamondsphere.partition import _collar_far_radius
+from diamondsphere.partition import _collar_far_radius, partition_records
 
 
 def make_random_spec(rng: np.random.Generator, m_lo: int = 2, m_hi: int = 30,
@@ -283,6 +283,32 @@ def covering_upper_bound_reference(partition) -> float:
     for h_hi, h_lo, z, r in zip(b, b[1:], (float(v) for v in model.z_exact), model.r):
         best = max(best, _collar_far_radius(h_hi, h_lo, z, r))
     return best
+
+
+def write_points_csv_reference(path: str, points: PointSet) -> None:
+    """One %-format of all eight columns per row, the whole text at once.
+
+    The reference for cli.write_points_csv, which formats each ring's z
+    once and streams the rows; the two must agree byte for byte.
+    """
+    row = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+    rows = zip(*cli._csv_columns(points))
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join([",".join(cli.CSV_HEADER), *(row % r for r in rows)]) + "\n")
+
+
+def write_partition_csv_reference(path: str, partition) -> None:
+    """str() of every field of every partition_records record, "" for None.
+
+    The reference for cli.write_partition_csv, which formats each ring's
+    shared fields once; the two must agree byte for byte.
+    """
+    columns = cli.PARTITION_CSV_COLUMNS
+    lines = [",".join(columns)]
+    for rec in partition_records(partition):
+        lines.append(",".join("" if rec[c] is None else str(rec[c]) for c in columns))
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def brute_force_separation(coords: np.ndarray) -> float:

@@ -605,6 +605,25 @@ def test_pair_sweep_past_its_budget_exits_2(tmp_path, capsys, monkeypatch):
         assert code == 0 and json.loads(out)["sum_distances"] > 0
 
 
+def test_exact_riesz_ring_sums_past_their_budget_exit_2(capsys, monkeypatch):
+    """An exponent s > 2 sums every one of the L offsets of each ring pair;
+    past the budget (227 nodes at M = 3) it stops before any work and
+    names the flags that avoid it.  Other kernels are not budgeted."""
+    model = ["--simple-M", "3", "--sup", "none"]
+    monkeypatch.setattr(diamondsphere.metrics, "_PAIR_SWEEP_MAX_PAIRS", 226)
+    code, out, err = run(["metrics", *model, "--riesz-s", "1,3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "227" in err
+    assert "--no-energies" in err and "at most 2" in err
+    monkeypatch.setattr(diamondsphere.metrics, "_PAIR_SWEEP_MAX_PAIRS", 227)
+    code, out, _ = run(["metrics", *model, "--riesz-s", "3"], capsys)
+    assert code == 0 and "3.0" in json.loads(out)["riesz"]
+    monkeypatch.setattr(diamondsphere.metrics, "_PAIR_SWEEP_MAX_PAIRS", 1)
+    for extra in (["--riesz-s", "0.5,2"], ["--riesz-s", "3", "--no-energies"]):
+        code, out, _ = run(["metrics", *model, *extra], capsys)
+        assert code == 0 and json.loads(out)["d_l2_stolarsky"] > 0
+
+
 @pytest.mark.parametrize("extra", [[], ["--no-energies"]], ids=["energies", "no-energies"])
 def test_metrics_duplicate_points_exit_2(extra, tmp_path, capsys):
     def repeat_row_1(lines):

@@ -14,8 +14,8 @@ from .metrics import (MEAN_CHORD, STOLARSKY_CONSTANT, CoveringRadius, MetricsRep
                       SupDiscrepancy, compute_metrics, covering_radius,
                       equatorial_discrepancy, l2_discrepancy_quadrature,
                       l2_discrepancy_stolarsky, log_energy, polar_cap_profile,
-                      riesz_energy, separation, stolarsky_constant_estimate,
-                      sum_distances, sup_discrepancy_estimate, sup_discrepancy_exact)
+                      riesz_energy, separation, sum_distances, sup_discrepancy_estimate,
+                      sup_discrepancy_exact)
 from .partition import (MatchingReport, Partition, Region, SideLengths,
                         VerificationFailure, build_partition, certify,
                         covering_upper_bound, partition_records, polar_cap_radius,
@@ -32,10 +32,8 @@ __all__ = ["DiamondModel", "ModelConstants", "ModelError", "ModelSpec", "generat
            "STOLARSKY_CONSTANT", "CoveringRadius", "MetricsReport", "SupDiscrepancy",
            "compute_metrics", "covering_radius", "equatorial_discrepancy",
            "l2_discrepancy_quadrature", "l2_discrepancy_stolarsky", "log_energy",
-           "polar_cap_profile", "riesz_energy", "separation",
-           "stolarsky_constant_estimate", "sum_distances", "sup_discrepancy_estimate",
-           "sup_discrepancy_exact", "MatchingReport", "Partition", "Region",
-           "SideLengths", "VerificationFailure", "build_partition", "certify",
-           "covering_upper_bound", "partition_records", "polar_cap_radius",
-           "region_area", "region_area_fraction_exact", "side_lengths",
-           "verify_matching"]
+           "polar_cap_profile", "riesz_energy", "separation", "sum_distances",
+           "sup_discrepancy_estimate", "sup_discrepancy_exact", "MatchingReport",
+           "Partition", "Region", "SideLengths", "VerificationFailure", "build_partition",
+           "certify", "covering_upper_bound", "partition_records", "polar_cap_radius",
+           "region_area", "region_area_fraction_exact", "side_lengths", "verify_matching"]

@@ -29,7 +29,7 @@ from .ensemble import (
 from .geometry import TWO_PI, PointSet
 from .metrics import (
     ENVELOPE_UPPER_COEFF,
-    _check_riesz_s,
+    SUP_EXACT_MAX_POINTS,
     cap_discrepancy_envelope,
     compute_metrics,
     equatorial_discrepancy,
@@ -255,10 +255,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    # distinct exponents in first-seen order, checked before any work
-    raw = args.riesz_s
-    riesz_s = tuple(dict.fromkeys(float(s) for s in raw.split(","))) if raw else ()
-    _check_riesz_s(riesz_s)
+    raw = args.riesz_s  # compute_metrics checks the exponents and drops repeats
+    riesz_s = tuple(float(s) for s in raw.split(",")) if raw else ()
     model = _resolve_model(args)
     if model is not None:  # its bound and exact profiles hold for its own points only
         points = generate(model)
@@ -308,11 +306,6 @@ def cmd_discrepancy(args) -> int:
         out["value"] = l2_discrepancy_quadrature(points, n_centers=args.quad_centers)
     else:
         if args.mode == "exact":
-            if n > args.max_points:
-                raise ValueError(
-                    f"exact mode handles at most {args.max_points} points "
-                    f"(model has {n}); use --mode estimate"
-                )
             sup = sup_discrepancy_exact(points, max_points=args.max_points)
         else:
             sup = sup_discrepancy_estimate(points, n_samples=args.samples,
@@ -417,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "l2-stolarsky", "l2-quadrature"])
     p.add_argument("--samples", type=_count(0), default=10_000)
     p.add_argument("--seed", type=_count(0), default=0)
-    p.add_argument("--max-points", type=_count(2), default=150)
+    p.add_argument("--max-points", type=_count(2), default=SUP_EXACT_MAX_POINTS)
     p.add_argument("--quad-centers", type=_count(1), default=4096)
     p.add_argument("--check-envelope", action="store_true",
                    help="exit 3 if a simple model leaves its guaranteed band")

@@ -56,8 +56,7 @@ MEAN_CHORD = 4.0 / 3.0
 # Invariance constant linking the L2 cap discrepancy (uniform cap centers,
 # heights with density dt/2) to the distance deficit:
 #   STOLARSKY_CONSTANT * D^2 = MEAN_CHORD - (1/N^2) sum ||x_i - x_j||.
-# A one-point set gives D^2 = 1/6 in closed form, pinning the value 8;
-# scripts/calibrate_stolarsky.py re-derives it by quadrature.
+# A one-point set gives D^2 = 1/6 in closed form, pinning the value 8.
 STOLARSKY_CONSTANT = 8.0
 
 # The sup cap discrepancy of the one-piece r = 4x model lies in
@@ -567,14 +566,13 @@ def sum_distances(points) -> float:
 class PolarProfile:
     """Cap discrepancies at the parallel heights, center at the north pole.
 
-    exact[j - 1] = |N_{j+1}/N - (1 - z_j)/2| as a Fraction.  closed_form is
-    filled for the one-piece r = 4x model, where the profile has a
-    polynomial form and its maximum is sqrt(N - 2)/N exactly.
+    exact[j - 1] = |N_{j+1}/N - (1 - z_j)/2| as a Fraction.  On the one-piece
+    r = 4x model it is (N - 2 - 4 j^2 + 4 (N - 1) j)/(2 N (N - 1)), with
+    maximum sqrt(N - 2)/N at j = M; the tests hold it to that form.
     """
 
     j: tuple[int, ...]
     exact: tuple[Fraction, ...]
-    closed_form: tuple[Fraction, ...] | None
     max_exact: Fraction
     argmax_j: int
 
@@ -587,14 +585,8 @@ def polar_cap_profile(model: DiamondModel) -> PolarProfile:
     # deviation is an integer over 2N(N - 1); Python ints keep it exact.
     exact = [Fraction(abs((N - 2) * r + N - 2 * first), 2 * N * (N - 1))
              for r, first in zip(rings.r[1:M + 1].tolist(), rings.first[1:M + 1].tolist())]
-    closed_form = None
-    if model.is_simple:
-        closed_form = tuple(
-            Fraction(N - 2 - 4 * j * j + 4 * (N - 1) * j, 2 * N * (N - 1)) for j in js
-        )
-        assert tuple(exact) == closed_form
     best = max(range(len(js)), key=lambda k: exact[k])
-    return PolarProfile(js, tuple(exact), closed_form, exact[best], js[best])
+    return PolarProfile(js, tuple(exact), exact[best], js[best])
 
 
 @dataclass(frozen=True)
@@ -732,7 +724,17 @@ def _blocked(arrays, block: int):
             yield arr[a:a + block]
 
 
-def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
+# Points sup_discrepancy_exact takes by default (and compute_metrics and
+# discrepancy --max-points): its work grows as N^4, and N = 146 takes about 0.5 s.
+SUP_EXACT_MAX_POINTS = 150
+
+
+def _sup_exact_budget(n: int, max_points: int = SUP_EXACT_MAX_POINTS) -> None:
+    _work_budget(n, max_points, "points of the exact supremum",
+                 "use --mode estimate (discrepancy) or --sup estimate (metrics)")
+
+
+def sup_discrepancy_exact(points, max_points: int = SUP_EXACT_MAX_POINTS) -> SupDiscrepancy:
     """Exact supremum of the cap discrepancy over pinned caps.
 
     Closed excess: the points S inside a closed cap also lie in the
@@ -752,15 +754,14 @@ def sup_discrepancy_exact(points, max_points: int = 150) -> SupDiscrepancy:
     count_in_cap's rules, so the witness reproduces the value.
 
     N + C(N, 2) + C(N, 3) candidates at N dots each: O(N^4), with no
-    sort; the max_points guard keeps accidental large inputs out.
+    sort; past max_points it stops before any work (ValueError).
     tests/conftest.py::sup_exact_reference, which sweeps every height at
     the same centers in both orientations (tests/conftest.py::cap_centers),
     is the slower reference.
     """
     coords = _as_coords(points)
     n = len(coords)
-    if n > max_points:
-        raise ValueError(f"exact supremum limited to {max_points} points, got {n}")
+    _sup_exact_budget(n, max_points)
     if n < 2:
         raise ValueError("need at least two points")
 
@@ -908,28 +909,13 @@ def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
     offsets = (n - 1 - 2 * np.arange(n)) / n
     block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
     rows = []
-    for lo in range(0, n_centers, block):
-        dots = centers[lo:lo + block] @ coords.T
+    for c in _blocked([centers], block):
+        dots = c @ coords.T
         dots.sort(axis=1)
         dots += offsets
         rows.append(np.square(dots, out=dots).sum(axis=1))
     total = math.fsum(np.concatenate(rows)) / (4 * n * n_centers)
     return math.sqrt(total + 1.0 / (12 * n * n))
-
-
-def stolarsky_constant_estimate(points, n_centers: int = 20_000) -> float:
-    """(MEAN_CHORD - S_N) / D_quad^2 for one point set.
-
-    Estimates the invariance constant from scratch; the calibration
-    script medians this over several sets to pin STOLARSKY_CONSTANT.
-    """
-    coords = _as_coords(points)
-    n = len(coords)
-    mean = 0.0 if n == 1 else sum_distances(coords) / (n * n)
-    d = l2_discrepancy_quadrature(coords, n_centers=n_centers)
-    if d == 0.0:
-        raise ValueError("degenerate quadrature value")
-    return (MEAN_CHORD - mean) / (d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -983,11 +969,18 @@ def compute_metrics(points: PointSet,
 
     The energies and the Stolarsky L2 come from the model's rings when the
     model is given and points equal generate(model) bit for bit, and from
-    the tile sweep otherwise (_energy_sums).
+    the tile sweep otherwise (_energy_sums).  Before any work: ValueError
+    for an unknown sup_mode, a Riesz exponent outside 0 < s < inf (also
+    with energies off) and sup_mode "exact" past SUP_EXACT_MAX_POINTS; a
+    repeated exponent runs once, in first-seen order.
     """
     if sup_mode not in ("exact", "estimate", None):
         raise ValueError(f"unknown sup mode {sup_mode!r}")
+    riesz_s = tuple(dict.fromkeys(riesz_s))
+    _check_riesz_s(riesz_s)
     n = len(points)
+    if sup_mode == "exact":
+        _sup_exact_budget(n)
     rep = MetricsReport(n_points=n)
 
     if n >= 2:

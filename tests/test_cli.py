@@ -194,6 +194,16 @@ def test_discrepancy_size_cap_message(capsys):
     assert "use --mode estimate" in err
 
 
+def test_metrics_exact_sup_past_the_limit_exits_2_before_any_work(monkeypatch, capsys):
+    def fail(points):
+        raise AssertionError("separation ran before the size check")
+
+    monkeypatch.setattr(diamondsphere.metrics, "separation", fail)
+    code, out, err = run(["metrics", "--simple-M", "7", "--sup", "exact"], capsys)
+    assert code == 2 and out == ""
+    assert "198 over the limit of 150" in err and "--sup estimate" in err
+
+
 def test_discrepancy_l2_modes_agree(capsys):
     code, out, _ = run(["discrepancy", "--simple-M", "2", "--mode",
                         "l2-stolarsky"], capsys)

@@ -1,10 +1,9 @@
 """Cap discrepancy: closed forms, sweep certificates, sampling oracles,
 and the two independent L2 routes."""
 
-import importlib.util
+import dataclasses
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from diamondsphere import (
     polar_cap_profile,
     simple_model,
     spiral_points,
-    stolarsky_constant_estimate,
     sup_discrepancy_estimate,
     sup_discrepancy_exact,
     validate,
@@ -104,7 +102,6 @@ def test_polar_profile_closed_form_simple():
         model = validate(simple_model(M))
         pts = generate(model)
         prof = polar_cap_profile(model)
-        assert prof.closed_form is not None
         N = model.N
         for j, ex in zip(prof.j, prof.exact):
             want = Fraction(N - 2 - 4 * j * j + 4 * (N - 1) * j,
@@ -114,6 +111,11 @@ def test_polar_profile_closed_form_simple():
         assert prof.argmax_j == M
         assert np.max(np.abs(polar_recount(model, pts) -
                              [float(v) for v in prof.exact])) < 1e-12
+
+
+def test_polar_profile_carries_no_closed_form():
+    # The tests above hold exact to the one-piece quadratic form.
+    assert "closed_form" not in {f.name for f in dataclasses.fields(metrics.PolarProfile)}
 
 
 def test_polar_profile_literal_values():
@@ -130,7 +132,6 @@ def test_polar_profile_counting_matches_general_models():
                                           theta_policy=f"seed:{k}"))
         pts = generate(model)
         prof = polar_cap_profile(model)
-        assert prof.closed_form is None or model.is_simple
         assert np.max(np.abs(polar_recount(model, pts) -
                              [float(v) for v in prof.exact])) < 1e-12
 
@@ -336,11 +337,6 @@ def test_l2_decreases_along_family(simple_suite):
     for M, v in zip((1, 2, 4, 6), vals):
         n = simple_suite[M][0].N
         assert 0.25 < v * n ** 0.75 < 0.4
-
-
-def test_stolarsky_constant_recovered(octahedron_points):
-    c = stolarsky_constant_estimate(octahedron_points, n_centers=4000)
-    assert math.isclose(c, 8.0, rel_tol=2e-2)
 
 
 def test_mean_chord_monte_carlo_converges():
@@ -549,12 +545,3 @@ def test_l2_quadrature_independent_of_block_size(budget, monkeypatch):
     monkeypatch.setattr(metrics, "_SUP_BLOCK_DOTS", budget)
     got = [l2_discrepancy_quadrature(p) for p in (model_pts, random_pts)]
     assert got == want
-
-
-def test_calibrate_stolarsky_script_confirms_constant(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_stolarsky.py"
-    spec = importlib.util.spec_from_file_location("calibrate_stolarsky", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main([]) == 0
-    assert "pinned constant 8 confirmed" in capsys.readouterr().out

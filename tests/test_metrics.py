@@ -24,7 +24,6 @@ from diamondsphere import (
     riesz_energy,
     separation,
     simple_model,
-    stolarsky_constant_estimate,
     sum_distances,
     sup_discrepancy_estimate,
     sup_discrepancy_exact,
@@ -178,13 +177,44 @@ def test_compute_metrics_minimal_modes():
     assert d["separation"] > 0
 
 
-def test_compute_metrics_rejects_sup_mode_before_any_work(octahedron_points, monkeypatch):
+@pytest.fixture
+def no_separation(monkeypatch):
     def fail(points):
-        raise AssertionError("separation ran before the sup mode was checked")
+        raise AssertionError("separation ran before the arguments were checked")
 
     monkeypatch.setattr(metrics, "separation", fail)
+
+
+def test_compute_metrics_rejects_sup_mode_before_any_work(octahedron_points, no_separation):
     with pytest.raises(ValueError, match="unknown sup mode"):
         compute_metrics(octahedron_points, sup_mode="bogus")
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
+def test_compute_metrics_rejects_riesz_exponent_before_any_work(octahedron_points, s,
+                                                                no_separation):
+    with pytest.raises(ValueError, match="Riesz exponent must be positive and finite"):
+        compute_metrics(octahedron_points, riesz_s=(1.0, s), energies=False)
+
+
+def test_compute_metrics_rejects_exact_sup_past_the_limit_before_any_work(no_separation):
+    pts = PointSet(random_unit_points(np.random.default_rng(3), metrics.SUP_EXACT_MAX_POINTS + 1))
+    with pytest.raises(ValueError, match="use --mode estimate .* or --sup estimate"):
+        compute_metrics(pts, sup_mode="exact", energies=False)
+
+
+def test_compute_metrics_runs_a_repeated_exponent_once(octahedron_points, monkeypatch):
+    swept = []
+    energy_sums = metrics._energy_sums
+
+    def spy(points, model, riesz_s=(), **kw):
+        swept.append(riesz_s)
+        return energy_sums(points, model, riesz_s, **kw)
+
+    monkeypatch.setattr(metrics, "_energy_sums", spy)
+    rep = compute_metrics(octahedron_points, riesz_s=(1.0, 2.0, 1.0, 2.0), sup_mode=None)
+    assert swept == [(1.0, 2.0)]
+    assert list(rep.riesz) == ["1.0", "2.0"]
 
 
 def test_compute_metrics_constants_for_simple_model():
@@ -233,7 +263,6 @@ ROW_CHECKED = {
     "sup_discrepancy_estimate": lambda p: sup_discrepancy_estimate(p, n_samples=100),
     "l2_discrepancy_stolarsky": l2_discrepancy_stolarsky,
     "l2_discrepancy_quadrature": l2_discrepancy_quadrature,
-    "stolarsky_constant_estimate": stolarsky_constant_estimate,
     "compute_metrics": compute_metrics,
     "count_in_cap": lambda p: count_in_cap(p, SphericalCap(NORTH_POLE, 0.0)),
 }

@@ -30,6 +30,8 @@ from .geometry import TWO_PI, PointSet
 from .metrics import (
     ENVELOPE_UPPER_COEFF,
     SUP_EXACT_MAX_POINTS,
+    _check_metrics_args,
+    _sup_exact_budget,
     cap_discrepancy_envelope,
     compute_metrics,
     equatorial_discrepancy,
@@ -56,24 +58,28 @@ _CSV_DTYPE = [(name, np.int64 if name in ("index", "parallel", "i") else float)
               for name in CSV_HEADER]
 
 
-def _csv_columns(points: PointSet) -> list:
-    """The values of the CSV_HEADER columns for a tagged point set, as sequences."""
+def _csv_columns(model: DiamondModel, points: PointSet) -> list:
+    """The values of the CSV_HEADER columns for generate(model), as sequences.
+
+    parallel and i come from the ring table: rows first_j .. first_j + r_j - 1
+    are ring j's points i = 0 .. r_j - 1.
+    """
+    rings = model.rings
     x, y, z = points.coords.T.tolist()
     phi = [math.atan2(b, a) % TWO_PI for a, b in zip(x, y)]
-    return [range(len(points)), points.parallel.tolist(),
-            points.index_in_parallel.tolist(), x, y, z, phi, z]
+    parallel = np.repeat(np.arange(model.p + 2), rings.r)
+    i = np.arange(model.N) - np.repeat(rings.first, rings.r)
+    return [range(model.N), parallel.tolist(), i.tolist(), x, y, z, phi, z]
 
 
-def write_points_csv(path: str, points: PointSet) -> None:
-    """The CSV_HEADER columns, streamed one run of rows at a time.
+def write_points_csv(path: str, model: DiamondModel, points: PointSet) -> None:
+    """The CSV_HEADER columns of points = generate(model), one ring at a time.
 
-    A run is a stretch of rows whose z has the same bits (a ring of a
-    generated ensemble; 0.0 and -0.0 print apart).  Its z is formatted
-    once, for both the z and z_height columns.
+    A ring's rows share its z, formatted once for both the z and z_height
+    columns, and go straight to the open file.
     """
-    index, parallel, i, x, y, z, phi, _ = _csv_columns(points)
-    bits = points.coords[:, 2].view(np.int64)
-    bounds = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(z)]
+    index, parallel, i, x, y, z, phi, _ = _csv_columns(model, points)
+    bounds = [*model.rings.first.tolist(), model.N]
     with open(path, "w", newline="\n") as f:
         f.write(",".join(CSV_HEADER) + "\n")
         for a, b in zip(bounds, bounds[1:]):
@@ -106,7 +112,7 @@ def _read_points(path: str) -> tuple[np.ndarray, PointSet]:
         raise ValueError(f"row {bad[0]} has index {rows[bad[0]].split(',', 1)[0]}")
     coords = np.column_stack([table["x"], table["y"], table["z"]])
     coords.setflags(write=False)  # fresh, so PointSet keeps it without a copy
-    return table, PointSet(coords, parallel=table["parallel"], index_in_parallel=table["i"])
+    return table, PointSet(coords)
 
 
 def read_points_csv(path: str) -> PointSet:
@@ -188,7 +194,7 @@ def _model_sidecar(model: DiamondModel) -> dict:
 def cmd_gen(args) -> int:
     model = _resolve_model(args)
     points = generate(model)
-    write_points_csv(args.output, points)
+    write_points_csv(args.output, model, points)
     if args.json:
         _dump_json(_model_sidecar(model), args.json)
     print(f"wrote {len(points)} points to {args.output}")
@@ -230,10 +236,11 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _check_ensemble_file(path: str, points: PointSet, error: type[Exception]) -> None:
-    """Every column of the file must equal what write_points_csv writes for points."""
+def _check_ensemble_file(path: str, model: DiamondModel, points: PointSet,
+                         error: type[Exception]) -> None:
+    """Every column of the file must equal what write_points_csv writes for the model."""
     table, _ = _read_points(path)  # its points pass PointSet's row checks, as in any file
-    columns = zip(CSV_HEADER, _csv_columns(points))
+    columns = zip(CSV_HEADER, _csv_columns(model, points))
     if any(table[k].tolist() != list(v) for k, v in columns):
         raise error(f"{path} does not match the model ensemble")
 
@@ -242,7 +249,7 @@ def cmd_verify(args) -> int:
     model = _resolve_model(args)
     points = generate(model)
     if args.points:
-        _check_ensemble_file(args.points, points, VerificationFailure)
+        _check_ensemble_file(args.points, model, points, VerificationFailure)
     label = certify(build_partition(model), points)
     print(f"ok: all {model.N} regions have area 4*pi/N (exact + float)")
     print("ok: height interleaving certificate")
@@ -255,13 +262,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    raw = args.riesz_s  # compute_metrics checks the exponents and drops repeats
+    raw = args.riesz_s
     riesz_s = tuple(float(s) for s in raw.split(",")) if raw else ()
+    sup_mode = None if args.sup == "none" else args.sup
     model = _resolve_model(args)
     if model is not None:  # its bound and exact profiles hold for its own points only
+        _check_metrics_args(model.N, riesz_s, sup_mode)  # before generating
         points = generate(model)
         if args.points:
-            _check_ensemble_file(args.points, points, ValueError)
+            _check_ensemble_file(args.points, model, points, ValueError)
     elif args.points:
         points = read_points_csv(args.points)
     else:
@@ -271,7 +280,7 @@ def cmd_metrics(args) -> int:
         points, model, part,
         riesz_s=riesz_s,
         energies=not args.no_energies,
-        sup_mode=None if args.sup == "none" else args.sup,
+        sup_mode=sup_mode,
         sup_samples=args.samples,
         sup_seed=args.seed,
         l2_quadrature=args.l2_quadrature,
@@ -282,8 +291,10 @@ def cmd_metrics(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     model = _resolve_model(args)
-    points = generate(model)
     n = model.N
+    if args.mode == "exact":
+        _sup_exact_budget(n, args.max_points)  # before generating
+    points = None if args.mode == "polar" else generate(model)
     out = {"N": n, "mode": args.mode}
     code = 0
 

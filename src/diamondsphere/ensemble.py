@@ -332,7 +332,6 @@ def generate(model: DiamondModel) -> PointSet:
     the model (including its theta policy).
     """
     N, rings = model.N, model.rings
-    parallel = np.repeat(np.arange(model.p + 2), rings.r)
     index = np.arange(N) - np.repeat(rings.first, rings.r)
     phi = TWO_PI * index / np.repeat(rings.r, rings.r) + np.repeat(rings.theta, rings.r)
     s = np.repeat(rings.s, rings.r)
@@ -341,9 +340,8 @@ def generate(model: DiamondModel) -> PointSet:
     coords[:, 0] = s * np.cos(phi)
     coords[:, 1] = s * np.sin(phi)
     coords[:, 2] = np.repeat(rings.z, rings.r)
-    for fresh in (coords, parallel, index):
-        fresh.setflags(write=False)  # PointSet keeps a read-only array without a copy
-    return PointSet(coords, parallel=parallel, index_in_parallel=index)
+    coords.setflags(write=False)  # PointSet keeps a read-only array without a copy
+    return PointSet(coords)
 
 
 @dataclass(frozen=True)

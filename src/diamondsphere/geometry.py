@@ -94,47 +94,24 @@ class SphericalCap:
 
 
 class PointSet:
-    """An immutable batch of unit vectors with optional provenance tags.
+    """An immutable batch of unit vectors, one per row of an (N, 3) array.
 
-    The arrays are read-only: a read-only input is kept, any other copied.
-
-    Parameters
-    ----------
-    coords : (N, 3) array
-        Unit vectors, one per row.
-    parallel : (N,) int array, optional
-        For generated ensembles: 0 for the north pole, 1..p for the
-        parallels top to bottom, p + 1 for the south pole.
-    index_in_parallel : (N,) int array, optional
-        Position i (0-based) of the point within its parallel.
+    The array is read-only: a read-only input is kept, any other copied.
+    Which ring a generated point lies on, and its place there, are facts of
+    the model's ring table (``DiamondModel.rings``), not of the points.
     """
 
-    __slots__ = ("coords", "parallel", "index_in_parallel")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords, parallel=None, index_in_parallel=None):
-        self.coords = coords = _read_only(coords, float)
+    def __init__(self, coords):
+        keep = isinstance(coords, np.ndarray) and not coords.flags.writeable
+        coords = (np.asarray if keep else np.array)(coords, dtype=float, order="C")
+        coords.setflags(write=False)  # a writable input was copied: the caller's stays writable
         _check_unit_rows(coords)
-        for name, arr in (("parallel", parallel), ("index_in_parallel", index_in_parallel)):
-            if arr is not None:
-                arr = _read_only(arr, np.int64)
-                if arr.shape != (coords.shape[0],):
-                    raise ValueError(f"{name} must have shape (N,)")
-            setattr(self, name, arr)
+        self.coords = coords
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    @property
-    def has_provenance(self) -> bool:
-        return self.parallel is not None and self.index_in_parallel is not None
-
-
-def _read_only(a, dtype) -> np.ndarray:
-    """a as a read-only C-contiguous array, never freezing the caller's array."""
-    keep = isinstance(a, np.ndarray) and not a.flags.writeable
-    a = (np.asarray if keep else np.array)(a, dtype=dtype, order="C")  # np.array copies
-    a.setflags(write=False)
-    return a
 
 
 def _check_unit_rows(coords: np.ndarray) -> None:
@@ -179,6 +156,8 @@ def spiral_points(k: int) -> np.ndarray:
     longitude advances by pi*(3 - sqrt(5)) per step.  Used as the
     equal-area node set of the L2 quadrature's cap centers.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     i = np.arange(k, dtype=float)

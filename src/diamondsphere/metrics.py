@@ -85,7 +85,7 @@ _FORWARD_CUBES = [o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0,
 def separation(points) -> float:
     """Minimal pairwise chord distance; a zero result flags duplicate points.
 
-    Exact on any point set, with no use of provenance tags: every pair in
+    Exact on any point set, on rings or not: every pair in
     the same or adjacent cubes of side h is measured, starting at
     h = 4/sqrt(N).  A pair closer than h always lies in adjacent cubes, so
     a minimum below h, with a relative margin of 1e-9 for the rounding of
@@ -834,7 +834,7 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
     tests/conftest.py::sup_estimate_reference, which sweeps every row, is
     the reference.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise ValueError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     coords = _as_coords(points)
     n = len(coords)
@@ -955,6 +955,18 @@ class MetricsReport:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
+def _check_metrics_args(n: int, riesz_s, sup_mode: str | None) -> tuple[float, ...]:
+    """compute_metrics' argument checks, which read only the point count n;
+    returns the Riesz exponents with repeats dropped, in first-seen order."""
+    if sup_mode not in ("exact", "estimate", None):
+        raise ValueError(f"unknown sup mode {sup_mode!r}")
+    riesz_s = tuple(dict.fromkeys(riesz_s))
+    _check_riesz_s(riesz_s)
+    if sup_mode == "exact":
+        _sup_exact_budget(n)
+    return riesz_s
+
+
 def compute_metrics(points: PointSet,
                     model: DiamondModel | None = None,
                     partition: Partition | None = None,
@@ -974,13 +986,8 @@ def compute_metrics(points: PointSet,
     with energies off) and sup_mode "exact" past SUP_EXACT_MAX_POINTS; a
     repeated exponent runs once, in first-seen order.
     """
-    if sup_mode not in ("exact", "estimate", None):
-        raise ValueError(f"unknown sup mode {sup_mode!r}")
-    riesz_s = tuple(dict.fromkeys(riesz_s))
-    _check_riesz_s(riesz_s)
     n = len(points)
-    if sup_mode == "exact":
-        _sup_exact_budget(n)
+    riesz_s = _check_metrics_args(n, riesz_s, sup_mode)
     rep = MetricsReport(n_points=n)
 
     if n >= 2:

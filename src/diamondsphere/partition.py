@@ -217,8 +217,10 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
     arithmetic, plus the integer statement that point i of a ring of r
     sits strictly inside cell (i - 1) mod r (points lie at even,
     boundaries at odd multiples of pi/r relative to theta, so no float
-    tie is possible).  Float part: locate_many() applied to the generated
-    coordinates must reproduce the exact matching.
+    tie is possible).  Float part: locate_many() applied to the points,
+    row k read as point k of the generated order, must reproduce the exact
+    matching.  Only the coordinates are read, so a bare PointSet of the
+    ensemble passes; a set of any other size than N fails.
     """
     model = partition.model
     failures: list[str] = []
@@ -229,8 +231,8 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
             failures.append(f"parallel {j}: z = {zj} outside ({h_lo}, {h_hi})")
     interleaving_ok = not failures
 
-    if not points.has_provenance or len(points) != model.N:
-        failures.append("points lack provenance tags or have the wrong count")
+    if len(points) != model.N:
+        failures.append(f"{len(points)} points for the {model.N} regions")
         return MatchingReport(False, interleaving_ok, False,
                               np.empty(0, dtype=np.int64), tuple(failures))
 

@@ -202,13 +202,7 @@ def generate_reference(model: DiamondModel) -> PointSet:
     """
     N = model.N
     coords = np.empty((N, 3))
-    parallel = np.empty(N, dtype=np.int64)
-    index_in_parallel = np.empty(N, dtype=np.int64)
-
     coords[0] = (0.0, 0.0, 1.0)
-    parallel[0] = 0
-    index_in_parallel[0] = 0
-
     pos = 1
     for j in range(1, model.p + 1):
         rj = model.r[j - 1]
@@ -222,16 +216,11 @@ def generate_reference(model: DiamondModel) -> PointSet:
         coords[pos:pos + rj, 0] = s * np.cos(phi)
         coords[pos:pos + rj, 1] = s * np.sin(phi)
         coords[pos:pos + rj, 2] = z
-        parallel[pos:pos + rj] = j
-        index_in_parallel[pos:pos + rj] = i
         pos += rj
 
     coords[pos] = (0.0, 0.0, -1.0)
-    parallel[pos] = model.p + 1
-    index_in_parallel[pos] = 0
     assert pos == N - 1
-
-    return PointSet(coords, parallel=parallel, index_in_parallel=index_in_parallel)
+    return PointSet(coords)
 
 
 def locate_many_reference(partition, coords: np.ndarray) -> np.ndarray:
@@ -285,14 +274,25 @@ def covering_upper_bound_reference(partition) -> float:
     return best
 
 
-def write_points_csv_reference(path: str, points: PointSet) -> None:
-    """One %-format of all eight columns per row, the whole text at once.
+def write_points_csv_reference(path: str, model: DiamondModel, points: PointSet) -> None:
+    """One %-format of all eight columns per row, the whole text at once,
+    with parallel and i counted out one parallel at a time from model.r.
 
-    The reference for cli.write_points_csv, which formats each ring's z
-    once and streams the rows; the two must agree byte for byte.
+    The reference for cli.write_points_csv, which reads parallel and i from
+    the ring table, formats each ring's z once and streams the rows; the two
+    must agree byte for byte.
     """
+    parallel, i = [0], [0]
+    for j, rj in enumerate(model.r, start=1):
+        parallel += [j] * rj
+        i += range(rj)
+    parallel.append(model.p + 1)
+    i.append(0)
+    assert len(parallel) == len(points)
+    x, y, z = points.coords.T.tolist()
+    phi = [math.atan2(b, a) % TWO_PI for a, b in zip(x, y)]
     row = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-    rows = zip(*cli._csv_columns(points))
+    rows = zip(range(len(points)), parallel, i, x, y, z, phi, z)
     with open(path, "w", newline="\n") as f:
         f.write("\n".join([",".join(cli.CSV_HEADER), *(row % r for r in rows)]) + "\n")
 

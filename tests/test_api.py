@@ -36,6 +36,9 @@ REMOVED = [
 
 REMOVED_METHODS = [
     (geometry.PointSet, "point"),
+    (geometry.PointSet, "parallel"),
+    (geometry.PointSet, "index_in_parallel"),
+    (geometry.PointSet, "has_provenance"),
     (geometry.UnitVec, "dot"),
     (geometry.UnitVec, "antipode"),
     (geometry.UnitVec, "phi"),

@@ -171,8 +171,7 @@ def test_swapped_point_rows_fail_matching():
     part, points = build_partition(model), generate(model)
     coords = points.coords.copy()
     coords[[4, 9]] = coords[[9, 4]]
-    swapped = PointSet(coords, parallel=points.parallel,
-                       index_in_parallel=points.index_in_parallel)
+    swapped = PointSet(coords)
     message = _failure(certify, part, swapped)
     assert message.startswith("matching verification failed: point 4: locate -> ")
     assert "; point 9: " in message

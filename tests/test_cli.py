@@ -34,8 +34,9 @@ def test_gen_roundtrip_bit_exact(tmp_path, capsys):
     assert len(lines) == 39
     back = read_points_csv(str(csv_path))
     direct = generate(validate(simple_model(3)))
-    assert np.array_equal(back.coords, direct.coords)
-    assert np.array_equal(back.parallel, direct.parallel)
+    assert back.coords.tobytes() == direct.coords.tobytes()
+    parallel = [int(line.split(",")[1]) for line in lines[1:]]
+    assert parallel == np.repeat(np.arange(7), [1, 4, 8, 12, 8, 4, 1]).tolist()
 
 
 def test_gen_reruns_identical(tmp_path, capsys):
@@ -168,7 +169,15 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert "beta" in err
 
 
-def test_discrepancy_polar_literal(capsys):
+@pytest.fixture
+def no_generate(monkeypatch):
+    def fail(model):
+        raise AssertionError("the points were generated")
+
+    monkeypatch.setattr(diamondsphere.cli, "generate", fail)
+
+
+def test_discrepancy_polar_literal(no_generate, capsys):
     code, out, _ = run(["discrepancy", "--simple-M", "3", "--mode", "polar"],
                        capsys)
     assert code == 0
@@ -202,6 +211,20 @@ def test_metrics_exact_sup_past_the_limit_exits_2_before_any_work(monkeypatch, c
     code, out, err = run(["metrics", "--simple-M", "7", "--sup", "exact"], capsys)
     assert code == 2 and out == ""
     assert "198 over the limit of 150" in err and "--sup estimate" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["metrics", "--simple-M", "2", "--riesz-s", "nan"],
+     "error: Riesz exponent must be positive and finite, got nan\n"),
+    (["metrics", "--simple-M", "7", "--sup", "exact"], "198 over the limit of 150"),
+    (["discrepancy", "--simple-M", "7", "--mode", "exact"], "use --mode estimate"),
+    (["discrepancy", "--simple-M", "3", "--mode", "exact", "--max-points", "37"],
+     "38 over the limit of 37"),
+], ids=["metrics-riesz-nan", "metrics-sup-exact", "discrepancy-exact", "discrepancy-max-points"])
+def test_argument_and_size_errors_exit_2_before_generating(argv, message, no_generate, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_discrepancy_l2_modes_agree(capsys):
@@ -397,7 +420,8 @@ def test_theta_list_flag(tmp_path, capsys):
                       "-o", str(out_path)], capsys)
     assert code == 0
     pts = read_points_csv(str(out_path))
-    ring1 = pts.coords[pts.parallel == 1]
+    model = validate(simple_model(2))
+    ring1 = pts.coords[model.rings.first[1]:model.rings.first[2]]
     assert math.isclose(math.atan2(ring1[0, 1], ring1[0, 0]), 0.1,
                         abs_tol=1e-12)
 

@@ -510,10 +510,23 @@ def test_sup_estimate_sweeps_few_rows_of_an_ensemble(monkeypatch):
     assert sum(swept) < 20
 
 
-@pytest.mark.parametrize("n_samples", [-1, 2.5])
+@pytest.mark.parametrize("n_samples", [-1, 2.5, True])
 def test_sup_estimate_rejects_a_bad_sample_count(n_samples):
     with pytest.raises(ValueError, match="n_samples"):
         sup_discrepancy_estimate(np.eye(3), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n_centers, message", [
+    (2.5, "k must be an integer, got 2.5"),
+    (True, "k must be an integer, got True"),
+    (0, "k must be >= 1"),
+])
+def test_l2_quadrature_rejects_a_bad_center_count(n_centers, message):
+    # 2.5 built 3 spiral centers and weighted them as 2.5; True ran one center.
+    for call in (lambda: spiral_points(n_centers),
+                 lambda: l2_discrepancy_quadrature(np.eye(3), n_centers=n_centers)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_l2_quadrature_matches_rational_integral():

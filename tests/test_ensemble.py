@@ -86,18 +86,16 @@ def test_generate_layout_and_provenance():
     model = validate(simple_model(3, theta_policy="seed:5"))
     pts = generate(model)
     assert len(pts) == model.N
-    assert pts.has_provenance
-    assert pts.parallel[0] == 0 and pts.parallel[-1] == model.p + 1
+    assert tuple(pts.coords[0]) == (0.0, 0.0, 1.0) and tuple(pts.coords[-1]) == (0.0, 0.0, -1.0)
     for j in range(1, model.p + 1):
-        sel = pts.parallel == j
-        assert int(sel.sum()) == model.r[j - 1]
-        ring = pts.coords[sel]
+        first = model.partial_count(j)
+        assert first == model.rings.first[j] and model.r[j - 1] == model.rings.r[j]
+        ring = pts.coords[first:first + model.r[j - 1]]
         assert np.allclose(ring[:, 2], float(model.z_exact[j - 1]), atol=1e-15)
         phis = np.arctan2(ring[:, 1], ring[:, 0])
         want = model.theta[j - 1] + 2.0 * np.pi * np.arange(model.r[j - 1]) / model.r[j - 1]
         diff = (phis - want + np.pi) % (2.0 * np.pi) - np.pi
         assert np.max(np.abs(diff)) < 1e-12
-        assert np.array_equal(pts.index_in_parallel[sel], np.arange(model.r[j - 1]))
 
 
 def test_theta_policies():
@@ -203,8 +201,6 @@ def test_generate_equals_the_per_parallel_reference_bit_for_bit(table_models):
     for model in table_models:
         got, want = generate(model), generate_reference(model)
         assert got.coords.tobytes() == want.coords.tobytes()
-        assert got.parallel.tobytes() == want.parallel.tobytes()
-        assert got.index_in_parallel.tobytes() == want.index_in_parallel.tobytes()
 
 
 def test_ring_table_rounds_each_exact_value_once(table_models):

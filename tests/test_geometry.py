@@ -159,34 +159,28 @@ def test_spiral_points_shape_and_spread():
 
 
 def test_pointset_provenance_and_access():
+    # A point set is its coordinates; ring membership lives in DiamondModel.rings.
     coords = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    bare = PointSet(coords)
-    assert len(bare) == 2
-    assert not bare.has_provenance
-    assert tuple(bare.coords[1]) == (0.0, 0.0, -1.0)
-    tagged = PointSet(coords, parallel=np.array([0, 1]),
-                      index_in_parallel=np.array([0, 0]))
-    assert tagged.has_provenance
+    points = PointSet(coords)
+    assert len(points) == 2
+    assert PointSet.__slots__ == ("coords",)
+    assert tuple(points.coords[1]) == (0.0, 0.0, -1.0)
+    with pytest.raises(TypeError):
+        PointSet(coords, parallel=np.array([0, 1]))
 
 
 def test_pointset_leaves_the_callers_arrays_writable():
     coords = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    tags = np.array([0, 1], dtype=np.int64)
-    points = PointSet(coords, parallel=tags, index_in_parallel=tags)
-    assert coords.flags.writeable and tags.flags.writeable
-    assert not points.coords.flags.writeable and not points.parallel.flags.writeable
+    points = PointSet(coords)
+    assert coords.flags.writeable and not points.coords.flags.writeable
     coords[0, 2] = 0.5
-    tags[0] = 7
-    assert points.coords[0, 2] == 1.0 and points.parallel[0] == 0
+    assert points.coords[0, 2] == 1.0
 
 
 def test_pointset_keeps_a_read_only_input_without_a_copy():
     coords = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    tags = np.array([0, 1], dtype=np.int64)
-    for arr in (coords, tags):
-        arr.setflags(write=False)
-    points = PointSet(coords, parallel=tags)
-    assert points.coords is coords and points.parallel is tags
+    coords.setflags(write=False)
+    assert PointSet(coords).coords is coords
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -15,6 +15,7 @@ from conftest import (
     random_unit_points,
 )
 from diamondsphere import (
+    PointSet,
     build_partition,
     covering_upper_bound,
     generate,
@@ -111,6 +112,16 @@ def test_matching_is_bijection(simple_suite):
         assert report.ok, report.failures[:4]
         assert report.interleaving_ok and report.bijection_ok
         assert len(np.unique(report.point_to_region)) == model.N
+
+
+def test_matching_reads_only_the_coordinates():
+    model = validate(simple_model(3, theta_policy="seed:2"))
+    part = build_partition(model)
+    coords = generate(model).coords.copy()
+    assert verify_matching(part, PointSet(coords)).ok
+    short = verify_matching(part, PointSet(coords[:-1]))
+    assert short.interleaving_ok and not short.bijection_ok and not short.ok
+    assert short.failures == (f"{model.N - 1} points for the {model.N} regions",)
 
 
 def test_matching_random_models_with_rotations():

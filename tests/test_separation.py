@@ -57,17 +57,14 @@ def test_separation_one_piece_seeded_thetas(M):
 
 
 def test_separation_ignores_parallel_tags():
-    # Random points all tagged as one parallel are not on one circle.  The
-    # closest pair straddles the north pole, half a turn apart in
-    # longitude, so a kernel that trusts the tags and pairs only
-    # longitude neighbours within a parallel misses it.
+    # Random points lie on no rings.  The closest pair straddles the north
+    # pole, half a turn apart in longitude, so a kernel that pairs only
+    # longitude neighbours within a ring misses it.
     coords = random_unit_points(np.random.default_rng(4), 500)
     eps = 1e-5
     coords[:2] = [[eps, 0.0, np.sqrt(1.0 - eps * eps)],
                   [-eps, 0.0, np.sqrt(1.0 - eps * eps)]]
-    tagged = PointSet(coords, parallel=np.zeros(500, dtype=np.int64),
-                      index_in_parallel=np.arange(500))
-    assert separation(tagged) == brute_force_separation(coords)
+    assert separation(PointSet(coords)) == brute_force_separation(coords)
 
 
 def test_separation_widens_cubes_until_exact():

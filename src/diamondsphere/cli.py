@@ -181,9 +181,9 @@ def _model_sidecar(model: DiamondModel) -> dict:
         "model": model.spec.to_dict(),
         "N": model.N,
         "p": model.p,
-        "r": list(model.r),
+        "r": model.rings.r[1:-1].tolist(),
         "z_exact": [str(z) for z in model.z_exact],
-        "theta": list(model.theta),
+        "theta": model.rings.theta[1:-1].tolist(),
     }
 
 
@@ -267,17 +267,16 @@ def cmd_metrics(args) -> int:
     sup_mode = None if args.sup == "none" else args.sup
     model = _resolve_model(args)
     if model is not None:  # its bound and exact profiles hold for its own points only
-        _check_metrics_args(model.N, riesz_s, sup_mode)  # before generating
-        points = generate(model)
+        _check_metrics_args(model.N, riesz_s, sup_mode, args.samples, args.l2_quadrature)
+        points = generate(model)  # after the checks, which read only N
         if args.points:
             _check_ensemble_file(args.points, model, points, ValueError)
     elif args.points:
         points = read_points_csv(args.points)
     else:
         raise ValueError("need --points or a model")
-    part = build_partition(model) if model is not None else None
     report = compute_metrics(
-        points, model, part,
+        points, model,
         riesz_s=riesz_s,
         energies=not args.no_energies,
         sup_mode=sup_mode,

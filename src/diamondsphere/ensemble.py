@@ -7,11 +7,10 @@ symmetric about M.  The heights z_j are the unique choice for which
 every point "owns" the same fraction of the total surface, which is what
 makes the companion partition equal-area.
 
-Everything that admits exact arithmetic is kept exact: r_j, N, the
-partial counts N_j and the heights z_j are integers and Fractions.  The
-floats derived from them live in one per-ring table, ``DiamondModel.rings``,
-built once by ``validate``: each is rounded once from its exact integer
-ratio, and ``generate`` and the partition take their floats from it.  The
+Every ring fact lives in one per-ring table, ``DiamondModel.rings``, built
+once by ``validate``: the counts r_j and N_j as integers, the offsets
+theta_j, and floats each rounded once from an exact integer ratio; only the
+heights z_j have a second, exact home, the Fractions ``z_exact``.  The
 poles are its rings of one point, so no reader special-cases them.
 """
 
@@ -181,30 +180,20 @@ class DiamondModel:
 
     Attributes
     ----------
-    r : tuple of int
-        Points per parallel, r[j - 1] for parallel j in 1..p.
     N : int
-        Total number of points, 2 + sum(r).
-    n_partial : tuple of int
-        n_partial[j - 1] = N_j = 1 + sum(r_k for k < j), for j in 1..p + 1.
+        Total number of points, the sum of rings.r.
     z_exact : tuple of Fraction
-        Heights of the parallels, strictly decreasing, antisymmetric.
+        Heights of parallels 1..p, strictly decreasing, antisymmetric.
     rings : Rings
-        The ring facts as read-only arrays, with their floats, poles included.
+        The one home of every per-ring fact: r_j, N_j (first), theta_j and
+        their floats, as read-only arrays, poles included.
     """
 
     spec: ModelSpec
     p: int
-    r: tuple[int, ...]
     N: int
-    n_partial: tuple[int, ...]
     z_exact: tuple[Fraction, ...]
     rings: Rings
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Rotation offsets of parallels 1..p, the parallel rows of the ring table."""
-        return self.rings.theta[1:-1]
 
     @property
     def M(self) -> int:
@@ -213,17 +202,6 @@ class DiamondModel:
     @property
     def is_simple(self) -> bool:
         return self.spec.is_simple
-
-    def partial_count(self, j: int) -> int:
-        """N_j = 1 + sum of r_k over k < j, for 1 <= j <= p + 1."""
-        if not 1 <= j <= self.p + 1:
-            raise IndexError(f"partial-count index {j} outside 1..{self.p + 1}")
-        return self.n_partial[j - 1]
-
-    def height_z_exact(self, j: int) -> Fraction:
-        if not 1 <= j <= self.p:
-            raise IndexError(f"parallel index {j} outside 1..{self.p}")
-        return self.z_exact[j - 1]
 
 
 def _count_at(t: Sequence[int], alpha: Sequence[int], beta: Sequence[int], x: int) -> int:
@@ -277,22 +255,18 @@ def validate(spec: ModelSpec) -> DiamondModel:
             )
 
     p = 2 * M - 1
-    r = tuple(
-        _count_at(t, alpha, beta, j if j <= M else 2 * M - j) for j in range(1, p + 1)
-    )
+    r = tuple(_count_at(t, alpha, beta, min(j, 2 * M - j)) for j in range(1, p + 1))
     # The constraints force r >= 1 everywhere and monotone growth toward
     # the equator; these are consequences, so assert rather than raise.
     assert all(v >= 1 for v in r)
     assert all(r[j - 1] <= r[j] for j in range(1, M))
     assert r == r[::-1]
 
-    N = 2 + sum(r)
-    n_partial = tuple(itertools.accumulate(r, initial=1))
-
     # Rings 0..p + 1 over N_0 = 0, ..., N_{p+2} = N: z_j = num_j / (N - 1) with
     # num_j = N - r_j - 2 N_j, +-(N - 1) at the poles, strictly decreasing and antisymmetric.
     ring_r = (1, *r, 1)
-    counts = (0, *n_partial, N)
+    counts = tuple(itertools.accumulate(ring_r, initial=0))
+    N = counts[-1]
     num = [N - rj - 2 * nj for rj, nj in zip(ring_r, counts)]
     assert all(a > b for a, b in zip(num, num[1:]))
     assert num == [-v for v in reversed(num)]
@@ -316,9 +290,7 @@ def validate(spec: ModelSpec) -> DiamondModel:
     return DiamondModel(
         spec=ModelSpec(M=M, n=n, t=t, alpha=alpha, beta=beta, theta_policy=spec.theta_policy),
         p=p,
-        r=r,
         N=N,
-        n_partial=n_partial,
         z_exact=z_exact,
         rings=rings,
     )

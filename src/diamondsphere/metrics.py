@@ -47,7 +47,7 @@ from .geometry import (
     count_in_cap,
     spiral_points,
 )
-from .partition import Partition, covering_upper_bound
+from .partition import Partition, build_partition, covering_upper_bound
 
 # Mean chord distance between independent uniform points on the sphere:
 # integral of ||x - y|| reduces to (1/2) * int_{-1}^{1} sqrt(2 - 2u) du = 4/3.
@@ -604,7 +604,7 @@ def equatorial_discrepancy(model: DiamondModel,
     on points, the model's own ensemble when None."""
     if points is None:
         points = generate(model)
-    exact = Fraction(model.r[model.M - 1], 2 * model.N)
+    exact = Fraction(int(model.rings.r[model.M]), 2 * model.N)
     cap = SphericalCap(NORTH_POLE, 0.0)
     counted = count_in_cap(points, cap, "closed")
     return EquatorialDiscrepancy(exact, abs(counted / model.N - 0.5))
@@ -816,6 +816,22 @@ def _pinned_caps(coords: np.ndarray):
         yield normals, tri[keep]
 
 
+# Dots the sup estimate ((n_samples + 2) N) or the L2 quadrature (n_centers N)
+# may take, about 10-13 s at 10-13 ns a dot; and the quadrature's default centers.
+_CENTER_SWEEP_MAX_DOTS = 1_000_000_000
+_QUAD_CENTERS = 4096
+
+
+def _sup_estimate_budget(n_samples: int, n: int) -> None:
+    _work_budget((n_samples + 2) * n, _CENTER_SWEEP_MAX_DOTS, "dots of the sup estimate",
+                 "lower --samples, or use --sup none (metrics)")
+
+
+def _quadrature_budget(n_centers: int, n: int) -> None:
+    _work_budget(n_centers * n, _CENTER_SWEEP_MAX_DOTS, "dots of the L2 quadrature",
+                 "lower --quad-centers (discrepancy) or drop --l2-quadrature (metrics)")
+
+
 def sup_discrepancy_estimate(points, n_samples: int = 10_000,
                              seed: int = 0) -> SupDiscrepancy:
     """Randomized lower estimate of the cap discrepancy.
@@ -832,12 +848,13 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
     earlier row attains, so it is never the first row with the largest
     value: the result is the one every row swept would give.
     tests/conftest.py::sup_estimate_reference, which sweeps every row, is
-    the reference.
+    the reference.  Past _CENTER_SWEEP_MAX_DOTS it stops at once (ValueError).
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise ValueError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     coords = _as_coords(points)
     n = len(coords)
+    _sup_estimate_budget(n_samples, n)
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, TWO_PI, n_samples)
@@ -890,7 +907,7 @@ def l2_discrepancy_stolarsky(points, model: DiamondModel | None = None) -> float
     return _stolarsky_l2(0.0 if n == 1 else _energy_sums(coords, model, distance=True)[0], n)
 
 
-def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
+def l2_discrepancy_quadrature(points, n_centers: int = _QUAD_CENTERS) -> float:
     """L2 cap discrepancy by direct integration over cap centers and heights.
 
     Centers run over a spiral grid (equal weights).  For each center the
@@ -901,10 +918,13 @@ def l2_discrepancy_quadrature(points, n_centers: int = 4096) -> float:
     (1/(4N)) sum_k (a_k + (N - 1 - 2k)/N)^2 + 1/(12 N^2).  The terms are
     nonnegative and ties only add zero-length pieces.  Only the center
     grid leaves an error, so this converges to the Stolarsky route as
-    n_centers grows; it is that route's independent check.
+    n_centers grows; it is that route's independent check.  It stops at
+    once past _CENTER_SWEEP_MAX_DOTS (ValueError).
     """
     coords = _as_coords(points)
     n = len(coords)
+    if isinstance(n_centers, (int, np.integer)):  # spiral_points rejects any other count
+        _quadrature_budget(n_centers, n)
     centers = spiral_points(n_centers)
     offsets = (n - 1 - 2 * np.arange(n)) / n
     block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
@@ -955,7 +975,8 @@ class MetricsReport:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def _check_metrics_args(n: int, riesz_s, sup_mode: str | None) -> tuple[float, ...]:
+def _check_metrics_args(n: int, riesz_s, sup_mode: str | None, sup_samples: int = 10_000,
+                        l2_quadrature: bool = False) -> tuple[float, ...]:
     """compute_metrics' argument checks, which read only the point count n;
     returns the Riesz exponents with repeats dropped, in first-seen order."""
     if sup_mode not in ("exact", "estimate", None):
@@ -964,12 +985,15 @@ def _check_metrics_args(n: int, riesz_s, sup_mode: str | None) -> tuple[float, .
     _check_riesz_s(riesz_s)
     if sup_mode == "exact":
         _sup_exact_budget(n)
+    elif sup_mode == "estimate":
+        _sup_estimate_budget(sup_samples, n)
+    if l2_quadrature:
+        _quadrature_budget(_QUAD_CENTERS, n)
     return riesz_s
 
 
 def compute_metrics(points: PointSet,
                     model: DiamondModel | None = None,
-                    partition: Partition | None = None,
                     *,
                     riesz_s: tuple[float, ...] = (1.0,),
                     energies: bool = True,
@@ -979,26 +1003,26 @@ def compute_metrics(points: PointSet,
                     l2_quadrature: bool = False) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end.
 
-    The energies and the Stolarsky L2 come from the model's rings when the
-    model is given and points equal generate(model) bit for bit, and from
-    the tile sweep otherwise (_energy_sums).  Before any work: ValueError
-    for an unknown sup_mode, a Riesz exponent outside 0 < s < inf (also
-    with energies off) and sup_mode "exact" past SUP_EXACT_MAX_POINTS; a
-    repeated exponent runs once, in first-seen order.
+    A model's partition gives the covering bound and the mesh ratio, and
+    its rings the energies and the Stolarsky L2 when points equal
+    generate(model) bit for bit; else the tile sweep does (_energy_sums).
+    Before any work: ValueError for an unknown sup_mode, a Riesz exponent
+    outside 0 < s < inf (also with energies off) or a kernel past its
+    budget (_check_metrics_args); a repeated exponent runs once.
     """
     n = len(points)
-    riesz_s = _check_metrics_args(n, riesz_s, sup_mode)
+    riesz_s = _check_metrics_args(n, riesz_s, sup_mode, sup_samples, l2_quadrature)
     rep = MetricsReport(n_points=n)
 
     if n >= 2:
         rep.separation = separation(points)
         if rep.separation == 0.0:
             raise DuplicatePointError("coincident points make the mesh ratio infinite")
-        cov = covering_radius(points, partition=partition)
+        cov = covering_radius(points, build_partition(model) if model is not None else None)
         rep.covering_estimate = cov.estimate
         rep.covering_upper_bound = cov.upper_bound
         rep.mesh_ratio_estimate = cov.estimate / rep.separation
-        if partition is not None:
+        if model is not None:
             rep.mesh_ratio = cov.upper_bound / rep.separation
         if energies:
             *riesz, rep.log_energy, rep.sum_distances = _energy_sums(

@@ -7,8 +7,8 @@ through the equator too (b_{2M+1-k} = -b_k; the defining heights
 h_j = b_j, j <= M).  Ring j spans (b_{j+1}, b_j] and holds r_j cells,
 so every region has area exactly 4*pi/N, and parallel j is strictly
 interior to its ring: b_{j+1} < z_j < b_j.  All of that is certified in
-rational arithmetic from ``Partition.b_exact``; every float, and r, theta
-and the first index N_j of a ring, comes from ``DiamondModel.rings``,
+rational arithmetic from the counts N_j of ``DiamondModel.rings``, which
+also gives r, theta, the first index N_j of a ring and every float, and
 whose rings 0 and p + 1 are the polar caps, one cell each.  ``certify``
 runs every check that the ``verify`` command reports, and
 ``_region_rings`` lists the regions ring by ring for ``partition_records``
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -88,34 +87,24 @@ class Partition:
 
     def __init__(self, model: DiamondModel):
         self.model = model
-        # Boundary k at b_k = 1 - 2 N_k / N, k = 1..p + 1; ring j spans
-        # (b_{j+1}, b_j], the north cap ends at b_1, the south cap at b_{p+1}.
-        self.b_exact: tuple[Fraction, ...] = tuple(1 - Fraction(2 * n, model.N)
-                                                   for n in model.n_partial)
-        self.n_regions = model.N
-
         # Height boundaries bottom-up for locate_many(); the symmetry of r
         # makes b_{2M+1-k} = -b_k: -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
         self._asc_bounds = model.rings.b[::-1]
         assert np.all(np.diff(self._asc_bounds) > 0)
 
-    @property
-    def h_exact(self) -> tuple[Fraction, ...]:
-        """The defining heights h_j = b_j of the northern collars, j = 1..M."""
-        return self.b_exact[:self.model.M]
-
     # -- region materialization -------------------------------------------
 
     def region(self, region_id: int) -> Region:
-        N, rings, b = self.model.N, self.model.rings, self.b_exact
+        N, rings = self.model.N, self.model.rings
         if not 0 <= region_id < N:
             raise IndexError(f"region id {region_id} outside 0..{N - 1}")
-        j = bisect_right(self.model.n_partial, region_id)  # its ring, 0..p + 1
+        j = int(np.searchsorted(rings.first, region_id, side="right")) - 1  # 0..p + 1
         first, r = int(rings.first[j]), int(rings.r[j])
         i = region_id - first
-        lo = b[j] if j < len(b) else Fraction(-1)  # b_exact stops short of the poles
-        hi = b[j - 1] if j else Fraction(1)
-        rest = (float(rings.b[j + 1]), float(rings.b[j]), lo, hi, first + (i + 1) % r)
+        # b_{j+1} from the next ring's first, not first + r, so certify checks the two agree
+        below = int(rings.first[j + 1]) if j <= self.model.p else N
+        rest = (float(rings.b[j + 1]), float(rings.b[j]), Fraction(N - 2 * below, N),
+                Fraction(N - 2 * first, N), first + (i + 1) % r)
         if not 0 < j <= self.model.p:  # a cap carries j = i = 0 and no longitudes
             return Region(region_id, "cap_north" if j == 0 else "cap_south", 0, 0, None, None,
                           *rest)
@@ -123,11 +112,11 @@ class Partition:
         return Region(region_id, "rect", j, i, phi_lo, phi_lo + TWO_PI / r, *rest)
 
     def __iter__(self) -> Iterator[Region]:
-        for rid in range(self.n_regions):
+        for rid in range(self.model.N):
             yield self.region(rid)
 
     def __len__(self) -> int:
-        return self.n_regions
+        return self.model.N
 
     # -- point/region matching --------------------------------------------
 
@@ -213,7 +202,7 @@ class MatchingReport:
 def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
     """Certify that locate_many() is a bijection points <-> regions.
 
-    Exact part: h_{j+1} < z_j < h_j for every parallel, in rational
+    Exact part: b_{j+1} < z_j < b_j for every parallel, in rational
     arithmetic, plus the integer statement that point i of a ring of r
     sits strictly inside cell (i - 1) mod r (points lie at even,
     boundaries at odd multiples of pi/r relative to theta, so no float
@@ -225,10 +214,10 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
     model = partition.model
     failures: list[str] = []
 
-    b = partition.b_exact
-    for j, (h_hi, zj, h_lo) in enumerate(zip(b, model.z_exact, b[1:]), start=1):
-        if not (h_lo < zj < h_hi):
-            failures.append(f"parallel {j}: z = {zj} outside ({h_lo}, {h_hi})")
+    for j, zj in enumerate(model.z_exact, start=1):
+        reg = partition.region(int(model.rings.first[j]))
+        if not (reg.h_lo_exact < zj < reg.h_hi_exact):
+            failures.append(f"parallel {j}: z = {zj} outside ({reg.h_lo_exact}, {reg.h_hi_exact})")
     interleaving_ok = not failures
 
     if len(points) != model.N:
@@ -265,7 +254,7 @@ def side_lengths(partition: Partition, j: int) -> SideLengths:
     if not 1 <= j <= M:
         raise IndexError(f"collar index {j} outside 1..{M}")
     h_hi, h_lo = partition.model.rings.b[j:j + 2].tolist()
-    r = partition.model.r[j - 1]
+    r = int(partition.model.rings.r[j])
     dphi = TWO_PI / r
     arcs, corners = [], []
     for h in (h_hi, h_lo):

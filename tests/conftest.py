@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from diamondsphere import (
     sup_discrepancy_exact,
     validate,
 )
+from diamondsphere.ensemble import resolve_thetas
 from diamondsphere.geometry import BOUNDARY_TOL, TWO_PI, SphericalCap, UnitVec
 from diamondsphere.metrics import SupDiscrepancy
 from diamondsphere.partition import _collar_far_radius, partition_records
@@ -46,6 +49,38 @@ def make_random_spec(rng: np.random.Generator, m_lo: int = 2, m_hi: int = 30,
         beta.append(b)
     return ModelSpec(M=M, n=n, t=tuple(t), alpha=tuple(alpha),
                      beta=tuple(beta), theta_policy=theta_policy)
+
+
+class Parallels(NamedTuple):
+    """Per parallel j = 1..p: r[j - 1] = r_j and theta[j - 1] = theta_j;
+    first[j - 1] = N_j and b[j - 1] = b_j = 1 - 2 N_j / N, exact, for
+    j = 1..p + 1 (ring j spans (b_{j+1}, b_j])."""
+
+    N: int
+    r: tuple[int, ...]
+    first: tuple[int, ...]
+    b: tuple[Fraction, ...]
+    theta: np.ndarray
+
+
+def parallels_reference(spec: ModelSpec) -> Parallels:
+    """Each parallel's r_j, N_j, exact b_j and theta_j, from the spec alone.
+
+    r_j = alpha + beta x on the last piece that starts at or below
+    x = min(j, 2M - j), N_j = 1 + r_1 + ... + r_{j-1}, and the offsets come
+    from resolve_thetas.  It never reads validate's ring table, so the
+    references built on it stay independent oracles of that table.
+    """
+    M, p = spec.M, 2 * spec.M - 1
+    r = []
+    for j in range(1, p + 1):
+        x = min(j, 2 * M - j)
+        piece = max(k for k in range(spec.n) if spec.t[k] <= x)
+        r.append(spec.alpha[piece] + spec.beta[piece] * x)
+    N = 2 + sum(r)
+    first = tuple(itertools.accumulate(r, initial=1))
+    return Parallels(N, tuple(r), first, tuple(1 - Fraction(2 * n, N) for n in first),
+                     resolve_thetas(spec.theta_policy, p))
 
 
 def random_unit_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -198,21 +233,23 @@ def generate_reference(model: DiamondModel) -> PointSet:
     """The ensemble one parallel at a time, each height from its Fraction.
 
     The reference for ensemble.generate, which expands the model's ring
-    table over all points at once; the two must agree bit for bit.
+    table over all points at once; the two must agree bit for bit.  Counts
+    and offsets come from parallels_reference.
     """
-    N = model.N
+    par = parallels_reference(model.spec)
+    N = par.N
     coords = np.empty((N, 3))
     coords[0] = (0.0, 0.0, 1.0)
     pos = 1
     for j in range(1, model.p + 1):
-        rj = model.r[j - 1]
+        rj = par.r[j - 1]
         zf = model.z_exact[j - 1]
         z = float(zf)
         # (1 - z)(1 + z) in exact arithmetic first: near the poles this
         # loses none of the tiny 1 - z^2 to cancellation.
         s = math.sqrt(float((1 - zf) * (1 + zf)))
         i = np.arange(rj)
-        phi = TWO_PI * i / rj + model.theta[j - 1]
+        phi = TWO_PI * i / rj + par.theta[j - 1]
         coords[pos:pos + rj, 0] = s * np.cos(phi)
         coords[pos:pos + rj, 1] = s * np.sin(phi)
         coords[pos:pos + rj, 2] = z
@@ -227,12 +264,13 @@ def locate_many_reference(partition, coords: np.ndarray) -> np.ndarray:
     """Region ids with the polar caps as branches of their own.
 
     The reference for Partition.locate_many, which treats each cap as a
-    ring of one cell; it reads the parallels' data from the model's tuples
-    and the boundary floats from Partition.b_exact.
+    ring of one cell; it reads the parallels' data and the boundary floats
+    from parallels_reference, not from the ring table.
     """
     model = partition.model
-    N, M = model.N, model.M
-    asc = np.array([-1.0, *(float(b) for b in reversed(partition.b_exact)), 1.0])
+    par = parallels_reference(model.spec)
+    N, M = par.N, model.M
+    asc = np.array([-1.0, *(float(b) for b in reversed(par.b)), 1.0])
     band = np.clip(np.searchsorted(asc, coords[:, 2], side="left") - 1, 0, 2 * M)
     out = np.empty(len(coords), dtype=np.int64)
     south_cap, north_cap = band == 0, band == 2 * M
@@ -241,9 +279,9 @@ def locate_many_reference(partition, coords: np.ndarray) -> np.ndarray:
     rect = ~(south_cap | north_cap)
     phi = np.arctan2(coords[rect, 1], coords[rect, 0]) % TWO_PI
     row = 2 * M - 1 - band[rect]  # parallel row - 1; band M is the equator ring
-    r = np.array(model.r, dtype=np.int64)[row]
-    frac = (phi - model.theta[row] - math.pi / r) * r / TWO_PI
-    first = np.array(model.n_partial[:-1], dtype=np.int64)[row]
+    r = np.array(par.r, dtype=np.int64)[row]
+    frac = (phi - par.theta[row] - math.pi / r) * r / TWO_PI
+    first = np.array(par.first[:-1], dtype=np.int64)[row]
     out[rect] = first + np.floor(frac).astype(np.int64) % r
     return out
 
@@ -254,9 +292,10 @@ def matching_reference(model: DiamondModel) -> np.ndarray:
 
     The reference for the expected ids of partition.verify_matching.
     """
-    N = model.N
-    first = np.repeat(np.array(model.n_partial[:-1], dtype=np.int64), model.r)
-    r = np.repeat(np.array(model.r, dtype=np.int64), model.r)
+    par = parallels_reference(model.spec)
+    N = par.N
+    first = np.repeat(np.array(par.first[:-1], dtype=np.int64), par.r)
+    r = np.repeat(np.array(par.r, dtype=np.int64), par.r)
     return np.concatenate([[0], first + (np.arange(1, N - 1) - first - 1) % r, [N - 1]])
 
 
@@ -267,23 +306,25 @@ def covering_upper_bound_reference(partition) -> float:
     over every ring of the table, caps included.
     """
     model = partition.model
-    b = [float(v) for v in partition.b_exact]
+    par = parallels_reference(model.spec)
+    b = [float(v) for v in par.b]
     best = math.sqrt(2.0 - 2.0 * b[0])
-    for h_hi, h_lo, z, r in zip(b, b[1:], (float(v) for v in model.z_exact), model.r):
+    for h_hi, h_lo, z, r in zip(b, b[1:], (float(v) for v in model.z_exact), par.r):
         best = max(best, _collar_far_radius(h_hi, h_lo, z, r))
     return best
 
 
 def write_points_csv_reference(path: str, model: DiamondModel, points: PointSet) -> None:
     """One %-format of all eight columns per row, the whole text at once,
-    with parallel and i counted out one parallel at a time from model.r.
+    with parallel and i counted out one parallel at a time from
+    parallels_reference.
 
     The reference for cli.write_points_csv, which reads parallel and i from
     the ring table, formats each ring's z once and streams the rows; the two
     must agree byte for byte.
     """
     parallel, i = [0], [0]
-    for j, rj in enumerate(model.r, start=1):
+    for j, rj in enumerate(parallels_reference(model.spec).r, start=1):
         parallel += [j] * rj
         i += range(rj)
     parallel.append(model.p + 1)

@@ -65,8 +65,8 @@ def test_criterion_01_counting_identities():
         model = validate(simple_model(M))
         assert model.N == 4 * M * M + 2
         for j in range(1, M + 1):
-            assert model.partial_count(j) == 2 * j * j - 2 * j + 1
-        assert model.height_z_exact(M) == Fraction(0)
+            assert model.rings.first[j] == 2 * j * j - 2 * j + 1
+        assert model.z_exact[M - 1] == Fraction(0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"[criterion 01] PASS: counting identities exact for "
@@ -78,10 +78,9 @@ def test_criterion_02_equal_area(simple_sweep, random_fifty):
     for M, (model, part) in simple_sweep.items():
         target = Fraction(1, model.N)
         area = 4.0 * math.pi / model.N
-        # All rectangles of a ring share h_lo, h_hi, and width, so one
-        # exact evaluation per ring covers each of its cells; the two
-        # caps are checked individually.
-        for rid in [0, model.N - 1] + list(model.n_partial[:-1]):
+        # All cells of a ring share h_lo, h_hi, and width, so one exact
+        # evaluation per ring covers each of its cells; a cap is a ring of one.
+        for rid in model.rings.first.tolist():
             region = part.region(rid)
             assert region_area_fraction_exact(part, region) == target
             assert abs(region_area(region) - area) <= 1e-12 * area

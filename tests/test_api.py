@@ -2,6 +2,7 @@
 wrappers that were removed because the vectorized kernels compute the same
 things.  Growing the API back needs an edit here."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -45,10 +46,26 @@ REMOVED_METHODS = [
     (ensemble.DiamondModel, "r_at"),
     (ensemble.DiamondModel, "height_z"),
     (ensemble.DiamondModel, "z"),
+    (ensemble.DiamondModel, "r"),
+    (ensemble.DiamondModel, "n_partial"),
+    (ensemble.DiamondModel, "theta"),
+    (ensemble.DiamondModel, "partial_count"),
+    (ensemble.DiamondModel, "height_z_exact"),
     (partition.Partition, "collars"),
     (partition.Partition, "locate"),
     (partition.Partition, "region_of_point"),
+    (partition.Partition, "b_exact"),
+    (partition.Partition, "h_exact"),
+    (partition.Partition, "n_regions"),
 ]
+
+
+def _instance(cls):
+    """An instance of cls, whose fields and instance attributes hasattr on
+    the class does not see."""
+    model = ds.validate(ds.simple_model(1))
+    return {geometry.PointSet: ds.generate(model), geometry.UnitVec: ds.NORTH_POLE,
+            ensemble.DiamondModel: model, partition.Partition: ds.build_partition(model)}[cls]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -68,6 +85,15 @@ def test_removed_names_stay_removed(module, name):
                          ids=[f"{c.__name__}.{n}" for c, n in REMOVED_METHODS])
 def test_removed_methods_stay_removed(cls, name):
     assert not hasattr(cls, name)
+    assert not hasattr(_instance(cls), name)
+
+
+def test_model_holds_the_ring_table_and_exact_heights_only():
+    """Every ring count lives in DiamondModel.rings; a partition is built
+    from the model alone."""
+    fields = [f.name for f in dataclasses.fields(ensemble.DiamondModel)]
+    assert fields == ["spec", "p", "N", "z_exact", "rings"]
+    assert "partition" not in inspect.signature(ds.compute_metrics).parameters
 
 
 @pytest.mark.parametrize("name", ["riesz_energy", "log_energy", "sum_distances",

@@ -1,12 +1,13 @@
 """partition.certify against the per-region verification loop it replaced."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import make_random_spec
+from conftest import make_random_spec, parallels_reference
 from diamondsphere import (
     PointSet,
     SideLengths,
@@ -86,6 +87,11 @@ MODELS = (
 MODEL_IDS = [f"M{m.M}-n{m.spec.n}-{m.spec.theta_policy}-{k}" for k, m in enumerate(MODELS)]
 
 
+def _with_first(model, first):
+    """The model with its ring table's first column replaced."""
+    return dataclasses.replace(model, rings=dataclasses.replace(model.rings, first=first))
+
+
 def _failure(fn, *args) -> str:
     with pytest.raises(VerificationFailure) as info:
         fn(*args)
@@ -100,12 +106,12 @@ def test_certify_agrees_with_per_region_reference(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_vectorized_float_areas_equal_region_area(model):
-    part = build_partition(model)
-    for j, r in enumerate(model.r, start=1):
+    part, par = build_partition(model), parallels_reference(model.spec)
+    for j, r in enumerate(par.r, start=1):
         phi_lo = partition_mod._phi_lo(model.rings, j, np.arange(r))
-        areas = (phi_lo + TWO_PI / r - phi_lo) * float(part.b_exact[j - 1] - part.b_exact[j])
+        areas = (phi_lo + TWO_PI / r - phi_lo) * float(par.b[j - 1] - par.b[j])
         for i in range(r):
-            region = part.region(model.n_partial[j - 1] + i)
+            region = part.region(par.first[j - 1] + i)
             assert phi_lo[i] == region.phi_lo
             assert areas[i] == region_area(region)
 
@@ -114,10 +120,10 @@ def test_vectorized_float_areas_equal_region_area(model):
 def test_ring_areas_equal_region_area(model):
     """The ring height 2 r_j / N, rounded from integers, is the float of
     b_j - b_{j+1} that region_area takes from the exact heights."""
-    part = build_partition(model)
-    for j, r in enumerate(model.r, start=1):
+    part, par = build_partition(model), parallels_reference(model.spec)
+    for j, r in enumerate(par.r, start=1):
         areas, _ = partition_mod._ring_areas(model, j)
-        first = model.n_partial[j - 1]
+        first = par.first[j - 1]
         assert areas.tolist() == [region_area(part.region(first + i)) for i in range(r)]
 
 
@@ -131,13 +137,15 @@ def test_ring_records_equal_per_cell_records(model):
 
 @pytest.mark.parametrize("ring", [0, 3, -1], ids=["first", "fourth", "last"])
 def test_tampered_collar_height_fails_at_ring_start(ring):
+    """N_{j+1} one too large lowers b_{j+1}, the floor of parallel j's ring:
+    the first column disagrees with r, which the exact area check sees."""
     model = validate(simple_model(4, theta_policy="seed:2"))
-    part, points = build_partition(model), generate(model)
-    j, b = range(1, model.p + 1)[ring], list(part.b_exact)
-    b[j] += (b[j - 1] - b[j]) / 3
-    part.b_exact = tuple(b)
+    points = generate(model)
+    j, first = range(1, model.p + 1)[ring], model.rings.first.copy()
+    first[j + 1] += 1
+    part = build_partition(_with_first(model, first))
     message = _failure(certify, part, points)
-    assert message == f"region {model.n_partial[j - 1]} area fraction is not 1/N"
+    assert message == f"region {model.rings.first[j]} area fraction is not 1/N"
     assert message == _failure(reference_verify, part, points)
 
 
@@ -153,14 +161,15 @@ def test_float_area_failure_names_the_first_bad_cell(monkeypatch):
 
     monkeypatch.setattr(partition_mod, "_phi_lo", shifted)
     message = _failure(certify, part, points)
-    assert message == f"region {model.n_partial[target - 1] + 5} float area off 4*pi/N"
+    assert message == f"region {model.rings.first[target] + 5} float area off 4*pi/N"
     assert message == _failure(reference_verify, part, points)
 
 
 def test_tampered_cap_height_fails_at_region_0():
     model = validate(simple_model(3))
-    part, points = build_partition(model), generate(model)
-    part.b_exact = (part.b_exact[0] - Fraction(1, 1000),) + part.b_exact[1:]
+    first = model.rings.first.copy()
+    first[1] += 1  # the north cap's floor b_1 one ring cell lower
+    part, points = build_partition(_with_first(model, first)), generate(model)
     message = _failure(certify, part, points)
     assert message == "region 0 area fraction is not 1/N"
     assert message == _failure(reference_verify, part, points)
@@ -200,7 +209,7 @@ def test_float_area_bound_holds_at_m_4000():
         areas, rel_tol = partition_mod._ring_areas(model, j)
         err = float(np.abs(areas - area_f).max()) / area_f
         assert err <= rel_tol
-        assert rel_tol <= model.r[j - 1] * math.ulp(TWO_PI) / math.pi + 1e-15
+        assert rel_tol <= model.rings.r[j] * math.ulp(TWO_PI) / math.pi + 1e-15
         worst = max(worst, err)
     assert worst > 1e-12
 
@@ -217,4 +226,4 @@ def test_float_area_bound_is_tight_for_small_rings(monkeypatch):
 
     monkeypatch.setattr(partition_mod, "_ring_areas", skewed)
     assert _failure(certify, part, points) == \
-        f"region {model.n_partial[3]} float area off 4*pi/N"
+        f"region {model.rings.first[4]} float area off 4*pi/N"

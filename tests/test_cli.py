@@ -642,7 +642,8 @@ def test_pair_sweep_past_its_budget_exits_2(tmp_path, capsys, monkeypatch):
 def test_exact_riesz_ring_sums_past_their_budget_exit_2(capsys, monkeypatch):
     """An exponent s > 2 sums every one of the L offsets of each ring pair;
     past the budget (227 nodes at M = 3) it stops before any work and
-    names the flags that avoid it.  Other kernels are not budgeted."""
+    names the flags that avoid it.  The sup estimate and the L2 quadrature
+    have a budget of their own (test_center_sweeps_past_their_budget_exit_2)."""
     model = ["--simple-M", "3", "--sup", "none"]
     monkeypatch.setattr(diamondsphere.metrics, "_PAIR_SWEEP_MAX_PAIRS", 226)
     code, out, err = run(["metrics", *model, "--riesz-s", "1,3"], capsys)
@@ -656,6 +657,32 @@ def test_exact_riesz_ring_sums_past_their_budget_exit_2(capsys, monkeypatch):
     for extra in (["--riesz-s", "0.5,2"], ["--riesz-s", "3", "--no-energies"]):
         code, out, _ = run(["metrics", *model, *extra], capsys)
         assert code == 0 and json.loads(out)["d_l2_stolarsky"] > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["metrics", "--simple-M", "3"], "sup estimate: 380076 over the limit of 1000; lower --samples"),
+    (["metrics", "--simple-M", "3", "--sup", "none", "--l2-quadrature"],
+     "L2 quadrature: 155648 over the limit of 1000; lower --quad-centers"),
+], ids=["metrics-estimate", "metrics-quadrature"])
+def test_center_sweeps_past_their_budget_exit_2_before_generating(argv, message, no_generate,
+                                                                   monkeypatch, capsys):
+    monkeypatch.setattr(diamondsphere.metrics, "_CENTER_SWEEP_MAX_DOTS", 1000)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: dots of the ") and message in err
+
+
+@pytest.mark.parametrize("mode, flag, fits", [("estimate", "--samples", 24),
+                                              ("l2-quadrature", "--quad-centers", 26)])
+def test_center_sweeps_past_their_budget_exit_2(mode, flag, fits, monkeypatch, capsys):
+    """At N = 38 a budget of 988 dots fits 26 center rows: 24 samples and
+    the two poles, or 26 quadrature centers; one more row stops."""
+    monkeypatch.setattr(diamondsphere.metrics, "_CENTER_SWEEP_MAX_DOTS", 988)
+    model = ["discrepancy", "--simple-M", "3", "--mode", mode, flag]
+    code, out, _ = run([*model, str(fits)], capsys)
+    assert code == 0 and json.loads(out)["value"] > 0
+    code, out, err = run([*model, str(fits + 1)], capsys)
+    assert code == 2 and out == "" and f"over the limit of 988; lower {flag}" in err
 
 
 @pytest.mark.parametrize("extra", [[], ["--no-energies"]], ids=["energies", "no-energies"])

@@ -12,6 +12,7 @@ from conftest import (
     cap_centers,
     make_random_spec,
     mean_chord_monte_carlo,
+    parallels_reference,
     random_unit_points,
     sup_estimate_reference,
     sup_exact_reference,
@@ -42,7 +43,7 @@ def polar_recount(model, pts) -> np.ndarray:
     from diamondsphere import NORTH_POLE, SphericalCap
     out = []
     for j in range(1, model.M + 1):
-        zj = float(model.height_z_exact(j))
+        zj = float(model.z_exact[j - 1])
         counted = count_in_cap(pts, SphericalCap(NORTH_POLE, zj), "closed")
         out.append(abs(counted / model.N - (1.0 - zj) / 2.0))
     return np.array(out)
@@ -142,8 +143,9 @@ def test_polar_profile_equals_its_fraction_definition():
     models = ([validate(simple_model(M, theta_policy="seed:1")) for M in (1, 2, 7)]
               + [validate(make_random_spec(rng, m_lo=1, m_hi=40)) for _ in range(60)])
     for model in models:
-        want = [abs(Fraction(model.partial_count(j + 1), model.N)
-                    - (1 - model.height_z_exact(j)) / 2) for j in range(1, model.M + 1)]
+        first = parallels_reference(model.spec).first
+        want = [abs(Fraction(first[j], model.N) - (1 - model.z_exact[j - 1]) / 2)
+                for j in range(1, model.M + 1)]
         assert list(polar_cap_profile(model).exact) == want
 
 
@@ -152,7 +154,7 @@ def test_equatorial_matches_polar_max_for_simple():
         model = validate(simple_model(M))
         pts = generate(model)
         eq = equatorial_discrepancy(model, pts)
-        assert eq.exact == Fraction(model.r[model.M - 1], 2 * model.N)
+        assert eq.exact == Fraction(parallels_reference(model.spec).r[M - 1], 2 * model.N)
         assert eq.exact == polar_cap_profile(model).max_exact
         assert math.isclose(eq.counting, float(eq.exact), abs_tol=1e-12)
 
@@ -527,6 +529,27 @@ def test_l2_quadrature_rejects_a_bad_center_count(n_centers, message):
                  lambda: l2_discrepancy_quadrature(np.eye(3), n_centers=n_centers)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_center_sweeps_stop_past_their_budget(monkeypatch):
+    """The estimate takes (n_samples + 2) N dots and the quadrature n_centers N;
+    at the budget each runs, past it each stops before any work."""
+    pts = generate(validate(simple_model(2)))  # N = 18
+    monkeypatch.setattr(metrics, "_CENTER_SWEEP_MAX_DOTS", 180)
+    assert sup_discrepancy_estimate(pts, n_samples=8).value > 0
+    assert l2_discrepancy_quadrature(pts, n_centers=10) > 0
+
+    def fail(*args):
+        raise AssertionError("work started past the budget")
+
+    monkeypatch.setattr(metrics, "_sweep_bound", fail)
+    monkeypatch.setattr(metrics, "spiral_points", fail)
+    with pytest.raises(ValueError, match="^dots of the sup estimate: 198 over the limit "
+                                         "of 180; lower --samples, or use --sup none"):
+        sup_discrepancy_estimate(pts, n_samples=9)
+    with pytest.raises(ValueError, match="^dots of the L2 quadrature: 198 over the limit "
+                                         "of 180; lower --quad-centers .* --l2-quadrature"):
+        l2_discrepancy_quadrature(pts, n_centers=11)
 
 
 def test_l2_quadrature_matches_rational_integral():

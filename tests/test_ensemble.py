@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import generate_reference, make_random_spec
+from conftest import generate_reference, make_random_spec, parallels_reference
 from diamondsphere import (
     ModelError,
     ModelSpec,
-    build_partition,
     generate,
     model_constants,
     resolve_thetas,
@@ -35,8 +34,8 @@ def test_simple_model_counting_closed_forms():
         assert model.N == 4 * M * M + 2
         assert model.p == 2 * M - 1
         for j in range(1, M + 2):
-            assert model.partial_count(j) == 2 * j * j - 2 * j + 1
-        assert model.r[:M] == tuple(4 * j for j in range(1, M + 1))
+            assert model.rings.first[j] == 2 * j * j - 2 * j + 1
+        assert model.rings.r[1:M + 1].tolist() == [4 * j for j in range(1, M + 1)]
 
 
 def test_simple_model_heights_small_cases():
@@ -57,17 +56,10 @@ def test_heights_antisymmetric_decreasing_zero_at_equator():
         assert z[M - 1] == 0
         assert all(z[k] > z[k + 1] for k in range(p - 1))
         assert all(z[k] == -z[p - 1 - k] for k in range(p))
-        assert model.r == model.r[::-1]
-        assert all(model.r[k] <= model.r[k + 1] for k in range(M - 1))
-        assert model.N == 2 + sum(model.r)
-
-
-def test_height_accessors_match_exact():
-    model = validate(simple_model(4))
-    for j in range(1, model.p + 1):
-        assert float(model.z_exact[j - 1]) == float(model.height_z_exact(j))
-    with pytest.raises(IndexError):
-        model.height_z_exact(model.p + 1)
+        r = model.rings.r.tolist()
+        assert r == r[::-1]
+        assert all(r[k] <= r[k + 1] for k in range(M))
+        assert model.N == sum(r)
 
 
 def test_generate_octahedron_vertices():
@@ -87,13 +79,14 @@ def test_generate_layout_and_provenance():
     pts = generate(model)
     assert len(pts) == model.N
     assert tuple(pts.coords[0]) == (0.0, 0.0, 1.0) and tuple(pts.coords[-1]) == (0.0, 0.0, -1.0)
+    par = parallels_reference(model.spec)
     for j in range(1, model.p + 1):
-        first = model.partial_count(j)
-        assert first == model.rings.first[j] and model.r[j - 1] == model.rings.r[j]
-        ring = pts.coords[first:first + model.r[j - 1]]
+        first, r = par.first[j - 1], par.r[j - 1]
+        assert first == model.rings.first[j] and r == model.rings.r[j]
+        ring = pts.coords[first:first + r]
         assert np.allclose(ring[:, 2], float(model.z_exact[j - 1]), atol=1e-15)
         phis = np.arctan2(ring[:, 1], ring[:, 0])
-        want = model.theta[j - 1] + 2.0 * np.pi * np.arange(model.r[j - 1]) / model.r[j - 1]
+        want = par.theta[j - 1] + 2.0 * np.pi * np.arange(r) / r
         diff = (phis - want + np.pi) % (2.0 * np.pi) - np.pi
         assert np.max(np.abs(diff)) < 1e-12
 
@@ -151,6 +144,7 @@ def test_validate_random_models_property():
     rng = np.random.default_rng(2024)
     for _ in range(150):
         model = validate(make_random_spec(rng))
+        par = parallels_reference(model.spec)
         # Total and per-parallel counts never leave the quadratic band.
         if model.M >= 2:
             cst = model_constants(model)
@@ -160,8 +154,8 @@ def test_validate_random_models_property():
             assert cst.a1 * model.M**2 <= model.N * slack
             assert model.N <= cst.a2 * model.M**2 * slack
             for j in range(1, model.M + 1):
-                nj = model.partial_count(j)
-                rj = model.r[j - 1]
+                nj = par.first[j - 1]
+                rj = par.r[j - 1]
                 assert cst.k1 * rj * rj <= nj * slack
                 assert nj <= cst.k2 * rj * rj * slack
             assert cst.k1 > 0 and cst.d1 > 0
@@ -205,17 +199,18 @@ def test_generate_equals_the_per_parallel_reference_bit_for_bit(table_models):
 
 def test_ring_table_rounds_each_exact_value_once(table_models):
     """Row j is ring j = 0..p + 1: the north pole, parallels 1..p, the south
-    pole, each pole a ring of one point at height +-1 with theta 0."""
+    pole, each pole a ring of one point at height +-1 with theta 0; the
+    counts, offsets and boundaries are recomputed from the spec."""
     for model in table_models:
-        rings, b_exact = model.rings, build_partition(model).b_exact
+        rings, par = model.rings, parallels_reference(model.spec)
         z_exact = (Fraction(1), *model.z_exact, Fraction(-1))
-        assert rings.r.tolist() == [1, *model.r, 1]
-        assert rings.first.tolist() == [0, *model.n_partial]
-        assert rings.theta.tolist() == [0.0, *model.theta.tolist(), 0.0]
-        assert np.shares_memory(model.theta, rings.theta)
+        assert model.N == par.N
+        assert rings.r.tolist() == [1, *par.r, 1]
+        assert rings.first.tolist() == [0, *par.first]
+        assert rings.theta.tolist() == [0.0, *par.theta.tolist(), 0.0]
         assert rings.z.tolist() == [float(z) for z in z_exact]
         assert rings.s.tolist() == [math.sqrt(float((1 - z) * (1 + z))) for z in z_exact]
-        assert rings.b.tolist() == [1.0, *(float(b) for b in b_exact), -1.0]
+        assert rings.b.tolist() == [1.0, *(float(b) for b in par.b), -1.0]
         assert {len(column) for column in vars(rings).values()} == {model.p + 2, model.p + 3}
         for column in vars(rings).values():
             assert not column.flags.writeable

@@ -132,7 +132,7 @@ def test_covering_octahedron(octahedron, octahedron_points):
     assert cov.estimate <= rho + 1e-12
     assert cov.estimate > rho - 1e-3
     assert cov.upper_bound >= rho - 1e-12
-    assert compute_metrics(octahedron_points, None, part, energies=False,
+    assert compute_metrics(octahedron_points, octahedron, energies=False,
                            sup_mode=None).mesh_ratio == \
         pytest.approx(cov.upper_bound / math.sqrt(2.0), rel=1e-12)
 
@@ -148,8 +148,7 @@ def test_covering_estimate_below_certified_bound():
 
 
 def test_compute_metrics_report_octahedron(octahedron, octahedron_points):
-    part = build_partition(octahedron)
-    rep = compute_metrics(octahedron_points, octahedron, part,
+    rep = compute_metrics(octahedron_points, octahedron,
                           riesz_s=(1.0, 2.0), sup_mode="exact",
                           l2_quadrature=True)
     d = rep.to_dict()
@@ -203,6 +202,24 @@ def test_compute_metrics_rejects_exact_sup_past_the_limit_before_any_work(no_sep
         compute_metrics(pts, sup_mode="exact", energies=False)
 
 
+QUADRATURE_ONLY = {"sup_mode": None, "l2_quadrature": True}
+
+
+@pytest.mark.parametrize("kwargs, limit, message", [
+    ({}, 60_011, "dots of the sup estimate: 60012 over the limit of 60011"),
+    ({}, 60_012, None),
+    (QUADRATURE_ONLY, 24_575, "dots of the L2 quadrature: 24576 over the limit of 24575"),
+    (QUADRATURE_ONLY, 24_576, None),
+], ids=["estimate", "estimate-at-the-limit", "quadrature", "quadrature-at-the-limit"])
+def test_compute_metrics_checks_the_center_sweeps_before_any_work(
+        octahedron_points, kwargs, limit, message, monkeypatch, no_separation):
+    """10,000 samples and 4,096 centers on the octahedron's 6 points."""
+    monkeypatch.setattr(metrics, "_CENTER_SWEEP_MAX_DOTS", limit)
+    with pytest.raises(AssertionError if message is None else ValueError,
+                       match=message or "separation ran"):
+        compute_metrics(octahedron_points, **kwargs)
+
+
 def test_compute_metrics_runs_a_repeated_exponent_once(octahedron_points, monkeypatch):
     swept = []
     energy_sums = metrics._energy_sums
@@ -219,8 +236,7 @@ def test_compute_metrics_runs_a_repeated_exponent_once(octahedron_points, monkey
 
 def test_compute_metrics_constants_for_simple_model():
     model = validate(simple_model(2))
-    rep = compute_metrics(generate(model), model, build_partition(model),
-                          sup_mode="estimate", sup_samples=500)
+    rep = compute_metrics(generate(model), model, sup_mode="estimate", sup_samples=500)
     d = rep.to_dict()
     assert math.isclose(d["constants"]["k1"], 1.0 / 32.0, rel_tol=1e-15)
     assert d["envelope_lower"] <= d["d_sup_estimate"] <= d["envelope_upper"]

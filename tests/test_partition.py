@@ -1,6 +1,7 @@
 """Equal-area partition: exact areas, ownership conventions, matching,
 side lengths, covering bound."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import (
     locate_many_reference,
     make_random_spec,
     matching_reference,
+    parallels_reference,
     random_unit_points,
 )
 from diamondsphere import (
@@ -37,10 +39,9 @@ def test_region_inventory_m2(simple_suite):
     kinds = [part.region(rid).kind for rid in range(18)]
     assert kinds[0] == "cap_north" and kinds[-1] == "cap_south"
     assert all(k == "rect" for k in kinds[1:-1])
-    assert part.h_exact == (Fraction(8, 9), Fraction(4, 9))
-    equator = {"h_hi": part.b_exact[1], "h_lo": part.b_exact[2]}
-    assert equator["h_hi"] == Fraction(4, 9)
-    assert equator["h_lo"] == Fraction(-4, 9)
+    collar, equator = part.region(1), part.region(5)  # rings 1 and 2 start at N_1, N_2
+    assert (collar.h_hi_exact, equator.h_hi_exact) == (Fraction(8, 9), Fraction(4, 9))
+    assert equator.h_lo_exact == Fraction(-4, 9)
 
 
 def test_every_region_has_exact_area_fraction(simple_suite):
@@ -64,14 +65,14 @@ def test_exact_area_fraction_random_models():
 
 def test_region_height_ownership_upper_edge_closed(simple_suite):
     model, _, part = simple_suite[2]
-    h1 = float(part.h_exact[0])  # 8/9, cap floor and first collar roof
+    h1 = 8.0 / 9.0  # cap floor and first collar roof
     s = math.sqrt(1.0 - h1 * h1)
     inside_first_cell = part.region(1)
     phi = (inside_first_cell.phi_lo + inside_first_cell.phi_hi) / 2.0
     at_roof = [s * math.cos(phi), s * math.sin(phi), h1]
     rid = part.locate_many(np.array([at_roof]) / np.linalg.norm(at_roof))[0]
     assert part.region(rid).kind == "rect"
-    assert part.region(rid).h_hi_exact == part.h_exact[0]
+    assert part.region(rid).h_hi_exact == Fraction(8, 9)
     # Slightly above the roof lies the cap.
     above = [s * math.cos(phi), s * math.sin(phi), h1 + 1e-9]
     rid_up = part.locate_many(np.array([above]) / np.linalg.norm(above))[0]
@@ -135,12 +136,13 @@ def test_matching_random_models_with_rotations():
 
 
 def test_interleaving_reads_the_collar_heights():
+    """N_3 = N_2 + 1 lifts b_3 to b_2 - 2/N, above z_2."""
     model = validate(simple_model(3))
-    part = build_partition(model)
-    j, b = 2, list(part.b_exact)
-    z = model.height_z_exact(j)
-    b[j] = (z + b[j - 1]) / 2
-    part.b_exact = tuple(b)
+    j, first = 2, model.rings.first.copy()
+    first[j + 1] = first[j] + 1
+    part = build_partition(dataclasses.replace(
+        model, rings=dataclasses.replace(model.rings, first=first)))
+    z = model.z_exact[j - 1]
     report = verify_matching(part, generate(model))
     assert not report.interleaving_ok and not report.ok
     assert report.failures[0].startswith(f"parallel {j}: z = {z} outside (")
@@ -151,8 +153,9 @@ def test_matching_convention_point_vs_region(simple_suite):
     point_to_region = verify_matching(part, points).point_to_region
     # Within a ring of r cells, region i holds point (i + 1) mod r, so
     # point i's home is one cell back.
+    par = parallels_reference(model.spec)
     for col in ({"r": r, "first_region": n, "first_point": n}
-                for r, n in zip(model.r, model.n_partial)):
+                for r, n in zip(par.r, par.first)):
         r = col["r"]
         for i in range(r):
             reg = part.region(col["first_region"] + i)
@@ -223,7 +226,7 @@ def test_partition_records_complete(simple_suite):
     matched = sorted(rec["matched_point"] for rec in records)
     assert matched == list(range(model.N))
     rect = records[1]
-    assert Fraction(rect["h_hi_exact"]) == part.h_exact[0]
+    assert Fraction(rect["h_hi_exact"]) == parallels_reference(model.spec).b[0]
     assert set(rect) == {"region_id", "kind", "j", "i", "phi_lo", "phi_hi",
                          "h_lo", "h_hi", "h_lo_exact", "h_hi_exact",
                          "matched_point"}
@@ -241,7 +244,7 @@ def test_region_areas_sum_to_sphere(simple_suite):
     parts += [build_partition(validate(make_random_spec(rng, m_hi=10)))
               for _ in range(3)]
     for part in parts:
-        areas = [region_area(part.region(i)) for i in range(part.n_regions)]
+        areas = [region_area(part.region(i)) for i in range(len(part))]
         total = math.fsum(areas)
         assert abs(total - 4.0 * math.pi) <= 1e-12 * 4.0 * math.pi
         assert max(areas) / min(areas) <= 1.0 + 1e-12
@@ -261,7 +264,7 @@ def test_scaled_diameter_bounded_and_stable():
     for M in range(2, 41):
         model = validate(simple_model(M))
         part = build_partition(model)
-        h1 = float(part.h_exact[0])
+        h1 = float(parallels_reference(model.spec).b[0])
         diam = 2.0 * math.sqrt(1.0 - h1 * h1)
         for j in range(1, M + 1):
             diam = max(diam, side_lengths(part, j).diameter)
@@ -277,10 +280,10 @@ def recurrence_collar_heights(model):
     """(h_hi, h_lo) per ring from the recurrence the partition once used:
     h_1 = 1 - 2/N, h_{j+1} = h_j - 2 r_j / N for j < M, the equator ring
     down to -h_M, and ring 2M - j mirroring ring j with heights negated."""
-    N, M = model.N, model.M
+    N, M, r = model.N, model.M, parallels_reference(model.spec).r
     h = [1 - Fraction(2, N)]
     for j in range(1, M):
-        h.append(h[-1] - Fraction(2 * model.r[j - 1], N))
+        h.append(h[-1] - Fraction(2 * r[j - 1], N))
     heights = []
     for jp in range(1, model.p + 1):
         j = min(jp, 2 * M - jp)
@@ -298,11 +301,14 @@ def _reference_models():
 
 
 def test_boundary_formula_equals_the_recurrence_and_mirror_rule():
+    """Each ring's exact heights, from its N_j and the next ring's, and the
+    ascending float bounds equal the recurrence's."""
     for model in _reference_models():
         part = build_partition(model)
         h, heights = recurrence_collar_heights(model)
-        assert part.h_exact == tuple(h)
-        assert list(zip(part.b_exact, part.b_exact[1:])) == heights
+        collars = [part.region(rid) for rid in model.rings.first[1:-1].tolist()]
+        assert [(reg.h_hi_exact, reg.h_lo_exact) for reg in collars] == heights
+        assert tuple(reg.h_hi_exact for reg in collars[:model.M]) == tuple(h)
         hf = np.array([float(v) for v in h])
         want = np.concatenate([[-1.0], -hf, hf[::-1], [1.0]])
         assert part._asc_bounds.tobytes() == want.tobytes()
@@ -328,11 +334,12 @@ def _locate_probes(model, rng) -> np.ndarray:
     b = model.rings.b
     heights = np.concatenate([b, np.nextafter(b, 2.0), np.nextafter(b, -2.0)])
     heights = np.repeat(heights[np.abs(heights) <= 1.0], 4)
-    r = np.repeat(np.array(model.r), model.r)
-    i = np.arange(1, model.N - 1) - np.repeat(np.array(model.n_partial[:-1]), model.r)
-    edges = (np.repeat(model.theta, model.r) + (2 * i + 1) * math.pi / r) % (2 * math.pi)
+    par = parallels_reference(model.spec)
+    r = np.repeat(np.array(par.r), par.r)
+    i = np.arange(1, model.N - 1) - np.repeat(np.array(par.first[:-1]), par.r)
+    edges = (np.repeat(par.theta, par.r) + (2 * i + 1) * math.pi / r) % (2 * math.pi)
     edges = np.concatenate([edges, np.nextafter(edges, 10.0), np.nextafter(edges, -10.0)])
-    z = np.tile(np.repeat([float(v) for v in model.z_exact], model.r), 3)
+    z = np.tile(np.repeat([float(v) for v in model.z_exact], par.r), 3)
     return np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
                       _sphere_rows(heights, rng.uniform(0.0, 2 * math.pi, len(heights))),
                       _sphere_rows(z, edges), random_unit_points(rng, 2000)])

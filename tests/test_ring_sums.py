@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_spec
+from conftest import make_random_spec, parallels_reference
 from diamondsphere import generate, simple_model, validate
 from diamondsphere import metrics
 from diamondsphere.metrics import _pair_sums, _ring_pairs, _ring_sums
@@ -83,8 +83,8 @@ def test_node_mean_is_within_the_alias_bound(name, tol, monkeypatch):
 
 def test_common_theta_shift_leaves_the_totals():
     model = MODELS["simple-M12-seed:3"]
-    shifted = validate(dataclasses.replace(model.spec,
-                                           theta_policy=tuple(model.theta + 0.7)))
+    theta = parallels_reference(model.spec).theta + 0.7
+    shifted = validate(dataclasses.replace(model.spec, theta_policy=tuple(theta)))
     want = _ring_sums(model, RIESZ_S, log=True, distance=True)
     got = _ring_sums(shifted, RIESZ_S, log=True, distance=True)
     for g, w in zip(got, want):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_spec, random_unit_points
+from conftest import make_random_spec, parallels_reference, random_unit_points
 from diamondsphere import (
     build_partition,
     certify,
@@ -43,8 +43,8 @@ def _rotation(gamma: float) -> np.ndarray:
 @pytest.mark.parametrize("gamma", [0.7, 5.9])
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_theta_shift_rotates_about_the_z_axis(model, gamma):
-    shifted = validate(dataclasses.replace(
-        model.spec, theta_policy=tuple((model.theta + gamma).tolist())))
+    theta = parallels_reference(model.spec).theta + gamma
+    shifted = validate(dataclasses.replace(model.spec, theta_policy=tuple(theta.tolist())))
     rot = _rotation(gamma)
     points, moved = generate(model), generate(shifted)
     assert np.max(np.abs(moved.coords - points.coords @ rot.T)) <= ROTATION_TOL

@@ -61,8 +61,8 @@ REMOVED_METHODS = [
 
 
 def _instance(cls):
-    """An instance of cls, whose fields and instance attributes hasattr on
-    the class does not see."""
+    """An instance of cls: hasattr on the class sees neither dataclass
+    fields nor instance attributes."""
     model = ds.validate(ds.simple_model(1))
     return {geometry.PointSet: ds.generate(model), geometry.UnitVec: ds.NORTH_POLE,
             ensemble.DiamondModel: model, partition.Partition: ds.build_partition(model)}[cls]

@@ -30,8 +30,9 @@ from .geometry import TWO_PI, PointSet
 from .metrics import (
     ENVELOPE_UPPER_COEFF,
     SUP_EXACT_MAX_POINTS,
-    _check_metrics_args,
-    _sup_exact_budget,
+    _QUAD_CENTERS,
+    _SUP_SAMPLES,
+    _check_work,
     cap_discrepancy_envelope,
     compute_metrics,
     equatorial_discrepancy,
@@ -267,8 +268,9 @@ def cmd_metrics(args) -> int:
     sup_mode = None if args.sup == "none" else args.sup
     model = _resolve_model(args)
     if model is not None:  # its bound and exact profiles hold for its own points only
-        _check_metrics_args(model.N, riesz_s, sup_mode, args.samples, args.l2_quadrature)
-        points = generate(model)  # after the checks, which read only N
+        _check_work(model.N, model, riesz_s, pair_sums=not args.no_energies, sup_mode=sup_mode,
+                    sup_samples=args.samples, quad_centers=args.l2_quadrature and _QUAD_CENTERS)
+        points = generate(model)  # after the checks, which read only the model
         if args.points:
             _check_ensemble_file(args.points, model, points, ValueError)
     elif args.points:
@@ -291,8 +293,9 @@ def cmd_metrics(args) -> int:
 def cmd_discrepancy(args) -> int:
     model = _resolve_model(args)
     n = model.N
-    if args.mode == "exact":
-        _sup_exact_budget(n, args.max_points)  # before generating
+    _check_work(n, sup_mode=args.mode if args.mode in ("exact", "estimate") else None,
+                sup_samples=args.samples, max_points=args.max_points,
+                quad_centers=args.quad_centers if args.mode == "l2-quadrature" else 0)
     points = None if args.mode == "polar" else generate(model)
     out = {"N": n, "mode": args.mode}
     code = 0
@@ -315,11 +318,8 @@ def cmd_discrepancy(args) -> int:
     elif args.mode == "l2-quadrature":
         out["value"] = l2_discrepancy_quadrature(points, n_centers=args.quad_centers)
     else:
-        if args.mode == "exact":
-            sup = sup_discrepancy_exact(points, max_points=args.max_points)
-        else:
-            sup = sup_discrepancy_estimate(points, n_samples=args.samples,
-                                           seed=args.seed)
+        sup = (sup_discrepancy_exact(points, max_points=args.max_points) if args.mode == "exact"
+               else sup_discrepancy_estimate(points, n_samples=args.samples, seed=args.seed))
         c = sup.witness.center
         out["value"] = sup.value
         out["side"] = sup.side
@@ -345,18 +345,18 @@ def cmd_plot(args) -> int:
         part = build_partition(model)
         svg = plotting.svg_projection(points, part)
     else:
-        ns, sup_vals, polar_vals = [], [], []
-        for m in args.m_range:
-            model = validate(simple_model(m))
+        largest = validate(simple_model(args.m_range[-1]))  # the most dots of the range
+        _check_work(largest.N, sup_mode="estimate", sup_samples=args.samples)
+        models = [validate(simple_model(m)) for m in args.m_range]
+        sup_vals, polar_vals = [], []
+        for model in models:
             points = generate(model)
-            ns.append(model.N)
-            sup = sup_discrepancy_estimate(points, n_samples=args.samples,
-                                           seed=args.seed)
+            sup = sup_discrepancy_estimate(points, n_samples=args.samples, seed=args.seed)
             sup_vals.append(math.sqrt(model.N) * sup.value)
             prof = polar_cap_profile(model)
             polar_vals.append(math.sqrt(model.N) * float(prof.max_exact))
         svg = plotting.svg_scaling(
-            ns,
+            [model.N for model in models],
             {"sqrt(N) * sup-cap estimate": sup_vals,
              "sqrt(N) * polar maximum": polar_vals},
             guides=[("1", 1.0), ("4+2*sqrt(2)", ENVELOPE_UPPER_COEFF)],
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--riesz-s", default="1", metavar="S1,S2,...")
     p.add_argument("--no-energies", action="store_true")
     p.add_argument("--sup", choices=["estimate", "exact", "none"], default="estimate")
-    p.add_argument("--samples", type=_count(0), default=10_000)
+    p.add_argument("--samples", type=_count(0), default=_SUP_SAMPLES)
     p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--l2-quadrature", action="store_true")
     p.set_defaults(func=cmd_metrics)
@@ -418,12 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="estimate",
                    choices=["polar", "equatorial", "exact", "estimate",
                             "l2-stolarsky", "l2-quadrature"])
-    p.add_argument("--samples", type=_count(0), default=10_000)
+    p.add_argument("--samples", type=_count(0), default=_SUP_SAMPLES)
     p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--max-points", type=_count(2), default=SUP_EXACT_MAX_POINTS)
-    p.add_argument("--quad-centers", type=_count(1), default=4096)
+    p.add_argument("--quad-centers", type=_count(1), default=_QUAD_CENTERS)
     p.add_argument("--check-envelope", action="store_true",
-                   help="exit 3 if a simple model leaves its guaranteed band")
+                   help="exit 3 if the value leaves [sqrt(N-2)/N, (4+2*sqrt(2))/sqrt(N)], "
+                        "+-1e-12, for a one-piece model: a pass certifies the supremum with "
+                        "--mode exact; the estimate is a lower bound, so only its failure counts")
     p.add_argument("--json", default="-", metavar="FILE")
     p.set_defaults(func=cmd_discrepancy)
 

@@ -16,7 +16,8 @@ periodic mean, taken on the fewest equally spaced nodes whose proved
 alias bound is below _RING_ALIAS_TOL, or on all lcm(r_a, r_b) offsets
 where no bound is proved.  Every other point set, and the public
 riesz_energy, log_energy and sum_distances, take the O(N^2) tile sweep
-(_pair_sums), which stops past _PAIR_SWEEP_MAX_PAIRS pairs.
+(_pair_sums).  Every super-linear kernel but the covering radius checks
+its size through _check_work before it starts.
 
 Determinism contract: every randomized routine takes an explicit seed.
 The pair sweep runs over a tiling fixed by N, and the ring route over
@@ -68,6 +69,66 @@ ENVELOPE_UPPER_COEFF = 4.0 + 2.0 * math.sqrt(2.0)
 def cap_discrepancy_envelope(n: int) -> tuple[float, float]:
     """Guaranteed (lower, upper) band of the one-piece model's sup discrepancy."""
     return math.sqrt(n - 2) / n, ENVELOPE_UPPER_COEFF / math.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# work limits
+
+
+# Pairs the tiled sweep may take, about 11 s at 11 ns a pair: N = 40,002
+# (8.0e8 pairs) runs, N = 10^6 (5e11 pairs, about 1.5 h) stops at once.
+# The exact ring sums of a Riesz exponent s > 2 may take as many nodes.
+_PAIR_SWEEP_MAX_PAIRS = 1_000_000_000
+
+# Points sup_discrepancy_exact takes by default (and compute_metrics and
+# discrepancy --max-points): its work grows as N^4, and N = 146 takes about 0.5 s.
+SUP_EXACT_MAX_POINTS = 150
+
+# Dots the sup estimate ((n_samples + 2) N) or the L2 quadrature (n_centers N)
+# may take, about 10-13 s at 10-13 ns a dot; and their default centers.
+_CENTER_SWEEP_MAX_DOTS = 1_000_000_000
+_SUP_SAMPLES = 10_000
+_QUAD_CENTERS = 4096
+
+
+def _work_budget(work: int, limit: int, what: str, hint: str) -> None:
+    """Stop a super-linear kernel before it starts work past its limit."""
+    if work > limit:
+        raise ValueError(f"{what}: {work} over the limit of {limit}; {hint}")
+
+
+def _check_work(n: int, model: DiamondModel | None = None, riesz_s=(), *,
+                pair_sums: bool = False, sup_mode: str | None = None,
+                sup_samples: int = _SUP_SAMPLES, max_points: int = SUP_EXACT_MAX_POINTS,
+                quad_centers: int = 0) -> tuple[float, ...]:
+    """ValueError for an unknown sup_mode, a Riesz exponent outside 0 < s < inf,
+    or the first requested kernel on n points past its limit: exact-sup points,
+    sup-estimate and L2-quadrature dots, then for pair_sums the sweep's pairs or,
+    with a model, the ring nodes of an s > 2.  Returns riesz_s without repeats."""
+    if sup_mode not in ("exact", "estimate", None):
+        raise ValueError(f"unknown sup mode {sup_mode!r}")
+    riesz_s = tuple(dict.fromkeys(riesz_s))
+    if bad := [s for s in riesz_s if not 0.0 < s < math.inf]:
+        raise ValueError(f"Riesz exponent must be positive and finite, got {bad[0]}")
+    if sup_mode == "exact":
+        _work_budget(n, max_points, "points of the exact supremum",
+                     "use --mode estimate (discrepancy) or --sup estimate (metrics)")
+    elif sup_mode == "estimate":
+        _work_budget((sup_samples + 2) * n, _CENTER_SWEEP_MAX_DOTS, "dots of the sup estimate",
+                     "lower --samples, or use --sup none (metrics)")
+    if quad_centers:
+        _work_budget(quad_centers * n, _CENTER_SWEEP_MAX_DOTS, "dots of the L2 quadrature",
+                     "lower --quad-centers (discrepancy) or drop --l2-quadrature (metrics)")
+    if pair_sums and model is None:
+        _work_budget(n * (n - 1) // 2, _PAIR_SWEEP_MAX_PAIRS, "point pairs of the energy sweep",
+                     "metrics --no-energies skips the energies, "
+                     "not the Stolarsky L2's distance sum")
+    elif pair_sums and any(s > 2.0 for s in riesz_s):
+        _work_budget(int(_ring_pairs(model)[4].sum()) + model.N, _PAIR_SWEEP_MAX_PAIRS,
+                     "nodes of the exact ring sums for a Riesz exponent s > 2",
+                     "metrics --no-energies skips them; Riesz exponents of at most 2 "
+                     "need far fewer nodes")
+    return riesz_s
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +379,6 @@ def _covering_budget(work: int, what: str) -> None:
                  "the points lie in a hemisphere or leave a large hole")
 
 
-def _work_budget(work: int, limit: int, what: str, hint: str) -> None:
-    """Stop a super-linear kernel before it starts work past its limit."""
-    if work > limit:
-        raise ValueError(f"{what}: {work} over the limit of {limit}; {hint}")
-
-
 # ---------------------------------------------------------------------------
 # pairwise energies
 
@@ -369,11 +424,6 @@ def _tile_partials(xyz, a: int, riesz_s: tuple[float, ...], log: bool,
     return np.array(out)
 
 
-# Pairs the tiled sweep may take, about 11 s at 11 ns a pair: N = 40,002
-# (8.0e8 pairs) runs, N = 10^6 (5e11 pairs, about 1.5 h) stops at once.
-_PAIR_SWEEP_MAX_PAIRS = 1_000_000_000
-
-
 def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
                log: bool = False, distance: bool = False) -> list[float]:
     """2 * sum over i < j of each requested kernel, in one sweep of the pairs.
@@ -386,15 +436,13 @@ def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
     own ensemble takes _ring_sums through _energy_sums instead.  Riesz and
     log sums raise DuplicatePointError on coincident points, which a
     distance-only sweep accepts; ValueError for an exponent outside
-    0 < s < inf, a Riesz sum that overflows, or more than
-    _PAIR_SWEEP_MAX_PAIRS pairs.
+    0 < s < inf or past the sweep's limit (_check_work), both before any
+    work, or for a Riesz sum that overflows.
     """
-    _check_riesz_s(riesz_s)
     n = len(coords)
+    _check_work(n, riesz_s=riesz_s, pair_sums=True)
     if n < 2:
         raise ValueError("pairwise sums need at least two points")
-    _work_budget(n * (n - 1) // 2, _PAIR_SWEEP_MAX_PAIRS, "point pairs of the energy sweep",
-                 "metrics --no-energies skips the energies, not the Stolarsky L2's distance sum")
     xyz = tuple(np.ascontiguousarray(coords[:, k]) for k in range(3))
     with np.errstate(over="ignore"):  # an overflow is reported below
         partials = np.concatenate([_tile_partials(xyz, a, riesz_s, log, distance)
@@ -480,10 +528,9 @@ def _ring_sums(model: DiamondModel, riesz_s: tuple[float, ...] = (),
     summed in blocks of _RING_BLOCK_NODES, fixed by the model, and the block
     sums are combined with exact summation.  O(p^2 + N + sum of n) work.
     ValueError for a Riesz sum that overflows, as _pair_sums, and, before
-    any work, for an exponent s > 2 whose sum of L over the ring pairs plus
-    N passes _PAIR_SWEEP_MAX_PAIRS nodes.
+    any work, for an exponent s > 2 whose nodes pass their limit (_check_work).
     """
-    _check_riesz_s(riesz_s)
+    _check_work(model.N, model, riesz_s, pair_sums=True)
     rings, ring = model.rings, np.arange(model.p + 2)
     a, b, d0, near, lcm, k = _ring_pairs(model)
     # Ring pairs, then every ring with itself; node j runs over first <= j < n.
@@ -503,11 +550,6 @@ def _ring_sums(model: DiamondModel, riesz_s: tuple[float, ...] = (),
     if distance:
         kernels.append(np.sqrt)
     exact = [s > 2.0 for s in riesz_s] + [False] * (len(kernels) - len(riesz_s))
-    if any(exact):
-        _work_budget(int(lcm.sum()) + model.N, _PAIR_SWEEP_MAX_PAIRS,
-                     "nodes of the exact ring sums for a Riesz exponent s > 2",
-                     "metrics --no-energies skips them; Riesz exponents of at most 2 "
-                     "need far fewer nodes")
     partials = [[] for _ in kernels]
     with np.errstate(over="ignore"):  # an overflow is reported below
         for on_all_offsets in (False, True):
@@ -533,11 +575,6 @@ def _energy_sums(points, model: DiamondModel | None, riesz_s: tuple[float, ...] 
     if model is not None and np.array_equal(coords, generate(model).coords):
         return _ring_sums(model, riesz_s, log, distance)
     return _pair_sums(coords, riesz_s, log, distance)
-
-
-def _check_riesz_s(riesz_s) -> None:
-    if bad := [s for s in riesz_s if not 0.0 < s < math.inf]:
-        raise ValueError(f"Riesz exponent must be positive and finite, got {bad[0]}")
 
 
 def riesz_energy(points, s: float) -> float:
@@ -724,16 +761,6 @@ def _blocked(arrays, block: int):
             yield arr[a:a + block]
 
 
-# Points sup_discrepancy_exact takes by default (and compute_metrics and
-# discrepancy --max-points): its work grows as N^4, and N = 146 takes about 0.5 s.
-SUP_EXACT_MAX_POINTS = 150
-
-
-def _sup_exact_budget(n: int, max_points: int = SUP_EXACT_MAX_POINTS) -> None:
-    _work_budget(n, max_points, "points of the exact supremum",
-                 "use --mode estimate (discrepancy) or --sup estimate (metrics)")
-
-
 def sup_discrepancy_exact(points, max_points: int = SUP_EXACT_MAX_POINTS) -> SupDiscrepancy:
     """Exact supremum of the cap discrepancy over pinned caps.
 
@@ -754,14 +781,14 @@ def sup_discrepancy_exact(points, max_points: int = SUP_EXACT_MAX_POINTS) -> Sup
     count_in_cap's rules, so the witness reproduces the value.
 
     N + C(N, 2) + C(N, 3) candidates at N dots each: O(N^4), with no
-    sort; past max_points it stops before any work (ValueError).
+    sort; past max_points it stops before any work (_check_work).
     tests/conftest.py::sup_exact_reference, which sweeps every height at
     the same centers in both orientations (tests/conftest.py::cap_centers),
     is the slower reference.
     """
     coords = _as_coords(points)
     n = len(coords)
-    _sup_exact_budget(n, max_points)
+    _check_work(n, sup_mode="exact", max_points=max_points)
     if n < 2:
         raise ValueError("need at least two points")
 
@@ -816,23 +843,7 @@ def _pinned_caps(coords: np.ndarray):
         yield normals, tri[keep]
 
 
-# Dots the sup estimate ((n_samples + 2) N) or the L2 quadrature (n_centers N)
-# may take, about 10-13 s at 10-13 ns a dot; and the quadrature's default centers.
-_CENTER_SWEEP_MAX_DOTS = 1_000_000_000
-_QUAD_CENTERS = 4096
-
-
-def _sup_estimate_budget(n_samples: int, n: int) -> None:
-    _work_budget((n_samples + 2) * n, _CENTER_SWEEP_MAX_DOTS, "dots of the sup estimate",
-                 "lower --samples, or use --sup none (metrics)")
-
-
-def _quadrature_budget(n_centers: int, n: int) -> None:
-    _work_budget(n_centers * n, _CENTER_SWEEP_MAX_DOTS, "dots of the L2 quadrature",
-                 "lower --quad-centers (discrepancy) or drop --l2-quadrature (metrics)")
-
-
-def sup_discrepancy_estimate(points, n_samples: int = 10_000,
+def sup_discrepancy_estimate(points, n_samples: int = _SUP_SAMPLES,
                              seed: int = 0) -> SupDiscrepancy:
     """Randomized lower estimate of the cap discrepancy.
 
@@ -848,13 +859,13 @@ def sup_discrepancy_estimate(points, n_samples: int = 10_000,
     earlier row attains, so it is never the first row with the largest
     value: the result is the one every row swept would give.
     tests/conftest.py::sup_estimate_reference, which sweeps every row, is
-    the reference.  Past _CENTER_SWEEP_MAX_DOTS it stops at once (ValueError).
+    the reference.  Past its limit it stops before any work (_check_work).
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise ValueError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     coords = _as_coords(points)
     n = len(coords)
-    _sup_estimate_budget(n_samples, n)
+    _check_work(n, sup_mode="estimate", sup_samples=n_samples)
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, TWO_PI, n_samples)
@@ -918,13 +929,13 @@ def l2_discrepancy_quadrature(points, n_centers: int = _QUAD_CENTERS) -> float:
     (1/(4N)) sum_k (a_k + (N - 1 - 2k)/N)^2 + 1/(12 N^2).  The terms are
     nonnegative and ties only add zero-length pieces.  Only the center
     grid leaves an error, so this converges to the Stolarsky route as
-    n_centers grows; it is that route's independent check.  It stops at
-    once past _CENTER_SWEEP_MAX_DOTS (ValueError).
+    n_centers grows; it is that route's independent check.  Past its limit
+    it stops before any work (_check_work).
     """
     coords = _as_coords(points)
     n = len(coords)
     if isinstance(n_centers, (int, np.integer)):  # spiral_points rejects any other count
-        _quadrature_budget(n_centers, n)
+        _check_work(n, quad_centers=n_centers)
     centers = spiral_points(n_centers)
     offsets = (n - 1 - 2 * np.arange(n)) / n
     block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
@@ -975,30 +986,13 @@ class MetricsReport:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def _check_metrics_args(n: int, riesz_s, sup_mode: str | None, sup_samples: int = 10_000,
-                        l2_quadrature: bool = False) -> tuple[float, ...]:
-    """compute_metrics' argument checks, which read only the point count n;
-    returns the Riesz exponents with repeats dropped, in first-seen order."""
-    if sup_mode not in ("exact", "estimate", None):
-        raise ValueError(f"unknown sup mode {sup_mode!r}")
-    riesz_s = tuple(dict.fromkeys(riesz_s))
-    _check_riesz_s(riesz_s)
-    if sup_mode == "exact":
-        _sup_exact_budget(n)
-    elif sup_mode == "estimate":
-        _sup_estimate_budget(sup_samples, n)
-    if l2_quadrature:
-        _quadrature_budget(_QUAD_CENTERS, n)
-    return riesz_s
-
-
 def compute_metrics(points: PointSet,
                     model: DiamondModel | None = None,
                     *,
                     riesz_s: tuple[float, ...] = (1.0,),
                     energies: bool = True,
                     sup_mode: str | None = "estimate",
-                    sup_samples: int = 10_000,
+                    sup_samples: int = _SUP_SAMPLES,
                     sup_seed: int = 0,
                     l2_quadrature: bool = False) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end.
@@ -1008,10 +1002,13 @@ def compute_metrics(points: PointSet,
     generate(model) bit for bit; else the tile sweep does (_energy_sums).
     Before any work: ValueError for an unknown sup_mode, a Riesz exponent
     outside 0 < s < inf (also with energies off) or a kernel past its
-    budget (_check_metrics_args); a repeated exponent runs once.
+    limit (_check_work): the sweep's without a model, the ring sums' with
+    one and energies on; a repeated exponent runs once.
     """
     n = len(points)
-    riesz_s = _check_metrics_args(n, riesz_s, sup_mode, sup_samples, l2_quadrature)
+    riesz_s = _check_work(n, model, riesz_s, pair_sums=energies or model is None,
+                          sup_mode=sup_mode, sup_samples=sup_samples,
+                          quad_centers=l2_quadrature and _QUAD_CENTERS)
     rep = MetricsReport(n_points=n)
 
     if n >= 2:

@@ -1,16 +1,20 @@
-"""Every name the benchmark's tracer and layer ladder reach must resolve.
+"""Every name the benchmark's tracer and layer ladder reach must resolve,
+and every command its workloads run must parse.
 
-perfbench/tracer.py wraps module functions and methods by name, and
-perfbench/ladder.py calls package attributes as ds.<name>; a rename in
-the library would otherwise surface only in a traced benchmark run.
+perfbench/tracer.py wraps module functions and methods by name,
+perfbench/ladder.py calls package attributes as ds.<name>, and
+perfbench/workloads.py passes CLI flags; a rename in the library or the
+CLI would otherwise surface only in a benchmark run.
 """
 
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import diamondsphere
+from diamondsphere.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -18,6 +22,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def _load(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass resolves its annotations there
     spec.loader.exec_module(module)
     return module
 
@@ -42,3 +47,13 @@ def test_ladder_names_resolve():
     assert names
     missing = sorted(n for n in names if not callable(getattr(diamondsphere, n, None)))
     assert not missing
+
+
+def test_workload_argvs_parse():
+    """Every command of every workload, for two pass seeds, parses with the
+    CLI's own parser (argparse exits 2 on an unknown flag)."""
+    parser = build_parser()
+    for script, _ in _load("workloads").WORKLOADS.values():
+        for seed in (0, 7):
+            for argv in script(seed):
+                parser.parse_args(argv)

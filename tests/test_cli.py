@@ -213,6 +213,42 @@ def test_metrics_exact_sup_past_the_limit_exits_2_before_any_work(monkeypatch, c
     assert "198 over the limit of 150" in err and "--sup estimate" in err
 
 
+@pytest.mark.parametrize("limit, argv, message", [
+    (226, ["--simple-M", "3", "--riesz-s", "1,3"],
+     "nodes of the exact ring sums for a Riesz exponent s > 2: 227 over the limit of 226"),
+    (100, ["--points", "PTS"], "point pairs of the energy sweep: 703 over the limit of 100"),
+], ids=["ring-nodes", "pair-sweep"])
+def test_metrics_pair_sums_past_their_limit_exit_2_before_any_work(limit, argv, message, tmp_path,
+                                                                   monkeypatch, capsys):
+    """At M = 3 (N = 38): 227 ring nodes for s = 3, 703 point pairs for a file."""
+    pts = str(tmp_path / "pts.csv")
+    run(["gen", "--simple-M", "3", "-o", pts], capsys)
+
+    def fail(points):
+        raise AssertionError("separation ran before the size check")
+
+    monkeypatch.setattr(diamondsphere.metrics, "separation", fail)
+    monkeypatch.setattr(diamondsphere.metrics, "_PAIR_SWEEP_MAX_PAIRS", limit)
+    argv = [pts if a == "PTS" else a for a in argv]
+    code, out, err = run(["metrics", *argv, "--sup", "none"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_plot_scaling_past_the_estimate_limit_exits_2_before_any_sweep(tmp_path, monkeypatch,
+                                                                       capsys):
+    """M = 2 (N = 18) fits 2,002 center rows in 76,075 dots; M = 3 (N = 38) does not."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a sweep ran before the size check")
+
+    monkeypatch.setattr(diamondsphere.cli, "sup_discrepancy_estimate", fail)
+    monkeypatch.setattr(diamondsphere.metrics, "_CENTER_SWEEP_MAX_DOTS", 76_075)
+    svg = tmp_path / "scaling.svg"
+    code, out, err = run(["plot", "--kind", "scaling", "--M-range", "2:3", "-o", str(svg)], capsys)
+    assert code == 2 and out == "" and not svg.exists()
+    assert err.startswith("error: dots of the sup estimate: 76076 over the limit of 76075")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["metrics", "--simple-M", "2", "--riesz-s", "nan"],
      "error: Riesz exponent must be positive and finite, got nan\n"),
@@ -663,7 +699,12 @@ def test_exact_riesz_ring_sums_past_their_budget_exit_2(capsys, monkeypatch):
     (["metrics", "--simple-M", "3"], "sup estimate: 380076 over the limit of 1000; lower --samples"),
     (["metrics", "--simple-M", "3", "--sup", "none", "--l2-quadrature"],
      "L2 quadrature: 155648 over the limit of 1000; lower --quad-centers"),
-], ids=["metrics-estimate", "metrics-quadrature"])
+    (["discrepancy", "--simple-M", "3", "--mode", "estimate"],
+     "sup estimate: 380076 over the limit of 1000; lower --samples"),
+    (["discrepancy", "--simple-M", "3", "--mode", "l2-quadrature"],
+     "L2 quadrature: 155648 over the limit of 1000; lower --quad-centers"),
+], ids=["metrics-estimate", "metrics-quadrature", "discrepancy-estimate",
+        "discrepancy-quadrature"])
 def test_center_sweeps_past_their_budget_exit_2_before_generating(argv, message, no_generate,
                                                                    monkeypatch, capsys):
     monkeypatch.setattr(diamondsphere.metrics, "_CENTER_SWEEP_MAX_DOTS", 1000)

@@ -10,12 +10,11 @@ from .ensemble import (DiamondModel, ModelConstants, ModelError, ModelSpec, gene
                        model_constants, resolve_thetas, simple_model, validate)
 from .geometry import (BOUNDARY_TOL, NORTH_POLE, SOUTH_POLE, DuplicatePointError, PointSet,
                        SphericalCap, UnitVec, count_in_cap, spiral_points)
-from .metrics import (MEAN_CHORD, STOLARSKY_CONSTANT, CoveringRadius, MetricsReport,
-                      SupDiscrepancy, compute_metrics, covering_radius,
-                      equatorial_discrepancy, l2_discrepancy_quadrature,
-                      l2_discrepancy_stolarsky, log_energy, polar_cap_profile,
-                      riesz_energy, separation, sum_distances, sup_discrepancy_estimate,
-                      sup_discrepancy_exact)
+from .metrics import (MEAN_CHORD, STOLARSKY_CONSTANT, MetricsReport, SupDiscrepancy,
+                      compute_metrics, covering_radius, equatorial_discrepancy,
+                      l2_discrepancy_quadrature, l2_discrepancy_stolarsky, log_energy,
+                      polar_cap_profile, riesz_energy, separation, sum_distances,
+                      sup_discrepancy_estimate, sup_discrepancy_exact)
 from .partition import (MatchingReport, Partition, Region, SideLengths,
                         VerificationFailure, build_partition, certify,
                         covering_upper_bound, partition_records, polar_cap_radius,
@@ -29,7 +28,7 @@ __all__ = ["DiamondModel", "ModelConstants", "ModelError", "ModelSpec", "generat
            "model_constants", "resolve_thetas", "simple_model", "validate",
            "BOUNDARY_TOL", "NORTH_POLE", "SOUTH_POLE", "DuplicatePointError", "PointSet",
            "SphericalCap", "UnitVec", "count_in_cap", "spiral_points", "MEAN_CHORD",
-           "STOLARSKY_CONSTANT", "CoveringRadius", "MetricsReport", "SupDiscrepancy",
+           "STOLARSKY_CONSTANT", "MetricsReport", "SupDiscrepancy",
            "compute_metrics", "covering_radius", "equatorial_discrepancy",
            "l2_discrepancy_quadrature", "l2_discrepancy_stolarsky", "log_energy",
            "polar_cap_profile", "riesz_energy", "separation", "sum_distances",

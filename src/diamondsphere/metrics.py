@@ -48,7 +48,7 @@ from .geometry import (
     count_in_cap,
     spiral_points,
 )
-from .partition import Partition, build_partition, covering_upper_bound
+from .partition import build_partition, covering_upper_bound
 
 # Mean chord distance between independent uniform points on the sphere:
 # integral of ||x - y|| reduces to (1/2) * int_{-1}^{1} sqrt(2 - 2u) du = 4/3.
@@ -102,7 +102,8 @@ def _check_work(n: int, model: DiamondModel | None = None, riesz_s=(), *,
                 sup_samples: int = _SUP_SAMPLES, max_points: int = SUP_EXACT_MAX_POINTS,
                 quad_centers: int = 0) -> tuple[float, ...]:
     """ValueError for an unknown sup_mode, a Riesz exponent outside 0 < s < inf,
-    or the first requested kernel on n points past its limit: exact-sup points,
+    an estimate's sample count that is not a nonnegative integer, or the first
+    requested kernel on n points past its limit: exact-sup points,
     sup-estimate and L2-quadrature dots, then for pair_sums the sweep's pairs or,
     with a model, the ring nodes of an s > 2.  Returns riesz_s without repeats."""
     if sup_mode not in ("exact", "estimate", None):
@@ -114,6 +115,9 @@ def _check_work(n: int, model: DiamondModel | None = None, riesz_s=(), *,
         _work_budget(n, max_points, "points of the exact supremum",
                      "use --mode estimate (discrepancy) or --sup estimate (metrics)")
     elif sup_mode == "estimate":
+        if (isinstance(sup_samples, bool) or not isinstance(sup_samples, (int, np.integer))
+                or sup_samples < 0):
+            raise ValueError(f"n_samples must be a nonnegative integer, got {sup_samples!r}")
         _work_budget((sup_samples + 2) * n, _CENTER_SWEEP_MAX_DOTS, "dots of the sup estimate",
                      "lower --samples, or use --sup none (metrics)")
     if quad_centers:
@@ -240,16 +244,7 @@ _COVERING_START = 6.0
 _COVERING_MAX_WORK = 100_000_000
 
 
-@dataclass(frozen=True)
-class CoveringRadius:
-    """Exact covering radius (estimate, a name the report keys keep) and a
-    certified upper bound: the partition's, or the trivial 2 without one."""
-
-    estimate: float
-    upper_bound: float
-
-
-def covering_radius(points, partition: Partition | None = None) -> CoveringRadius:
+def covering_radius(points) -> float:
     """The largest chord from any location on the sphere to its nearest point.
 
     rho = sqrt(2 - 2 tau), tau = min over unit c of max_i c.x_i.  With the
@@ -261,19 +256,17 @@ def covering_radius(points, partition: Partition | None = None) -> CoveringRadiu
     caps with the same boundary points form one face.  All faces are found
     when sum (k_f - 2) = 2 N - 4 (Euler); otherwise h doubles, and only
     points not yet closed in by found triangles start triples.  h starts at
-    _COVERING_START/sqrt(N) for every set; a partition only supplies the
-    upper bound.  Sets in a closed hemisphere (N <= 3 among them) take
-    _pinned_caps' candidates in both orientations, at once when every
-    x_i . sum(x) > 0; ValueError past _COVERING_MAX_WORK.
+    _COVERING_START/sqrt(N) for every set.  Sets in a closed hemisphere
+    (N <= 3 among them) take _pinned_caps' candidates in both orientations,
+    at once when every x_i . sum(x) > 0; ValueError past _COVERING_MAX_WORK.
     """
     coords = np.unique(_as_coords(points), axis=0)
-    upper = covering_upper_bound(partition) if partition is not None else 2.0
     # No facet search can close in a set inside the open hemisphere about its sum.
     in_hemisphere = (coords @ coords.sum(axis=0)).min() > 0.0
     tau = _facet_offset(coords) if len(coords) >= 4 and not in_hemisphere else None
     if tau is None:
         tau = _exhaustive_offset(coords)
-    return CoveringRadius(math.sqrt(max(0.0, 2.0 - 2.0 * tau)), upper)
+    return math.sqrt(max(0.0, 2.0 - 2.0 * tau))
 
 
 def _facet_offset(coords: np.ndarray) -> float | None:
@@ -789,8 +782,6 @@ def sup_discrepancy_exact(points, max_points: int = SUP_EXACT_MAX_POINTS) -> Sup
     coords = _as_coords(points)
     n = len(coords)
     _check_work(n, sup_mode="exact", max_points=max_points)
-    if n < 2:
-        raise ValueError("need at least two points")
 
     def pinned_deviations(centers, pins):
         dots = centers @ coords.T
@@ -861,8 +852,6 @@ def sup_discrepancy_estimate(points, n_samples: int = _SUP_SAMPLES,
     tests/conftest.py::sup_estimate_reference, which sweeps every row, is
     the reference.  Past its limit it stops before any work (_check_work).
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
-        raise ValueError(f"n_samples must be a nonnegative integer, got {n_samples!r}")
     coords = _as_coords(points)
     n = len(coords)
     _check_work(n, sup_mode="estimate", sup_samples=n_samples)
@@ -997,9 +986,11 @@ def compute_metrics(points: PointSet,
                     l2_quadrature: bool = False) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end.
 
-    A model's partition gives the covering bound and the mesh ratio, and
-    its rings the energies and the Stolarsky L2 when points equal
-    generate(model) bit for bit; else the tile sweep does (_energy_sums).
+    Beside the exact covering radius it reads the certified bound from the
+    model's partition itself (the trivial 2 without a model), and the mesh
+    ratio is that bound over the separation.  A model's rings give the
+    energies and the Stolarsky L2 when points equal generate(model) bit
+    for bit; else the tile sweep does (_energy_sums).
     Before any work: ValueError for an unknown sup_mode, a Riesz exponent
     outside 0 < s < inf (also with energies off) or a kernel past its
     limit (_check_work): the sweep's without a model, the ring sums' with
@@ -1015,12 +1006,12 @@ def compute_metrics(points: PointSet,
         rep.separation = separation(points)
         if rep.separation == 0.0:
             raise DuplicatePointError("coincident points make the mesh ratio infinite")
-        cov = covering_radius(points, build_partition(model) if model is not None else None)
-        rep.covering_estimate = cov.estimate
-        rep.covering_upper_bound = cov.upper_bound
-        rep.mesh_ratio_estimate = cov.estimate / rep.separation
+        rep.covering_upper_bound = (covering_upper_bound(build_partition(model))
+                                    if model is not None else 2.0)
+        rep.covering_estimate = covering_radius(points)
+        rep.mesh_ratio_estimate = rep.covering_estimate / rep.separation
         if model is not None:
-            rep.mesh_ratio = cov.upper_bound / rep.separation
+            rep.mesh_ratio = rep.covering_upper_bound / rep.separation
         if energies:
             *riesz, rep.log_energy, rep.sum_distances = _energy_sums(
                 points, model, riesz_s, log=True, distance=True)

@@ -252,9 +252,9 @@ def test_criterion_10_octahedron_closed_forms():
     want_dist = 24.0 * math.sqrt(2.0) + 12.0
     assert abs(dist - want_dist) < 1e-12 * want_dist
 
-    cov = covering_radius(pts, partition=part)
+    cov, upper = covering_radius(pts), covering_upper_bound(part)
     rho = math.sqrt(2.0 - 2.0 / math.sqrt(3.0))
-    assert rho - 1e-3 <= cov.estimate <= cov.upper_bound
+    assert rho - 1e-3 <= cov <= upper
     print(f"[criterion 10] PASS: delta = sqrt(2) (1e-15), "
           f"E_log = -18 log 2 (1e-12), sum = 24*sqrt(2)+12 (1e-12), "
-          f"rho in [{rho - 1e-3:.6f}, {cov.upper_bound:.6f}]")
+          f"rho in [{rho - 1e-3:.6f}, {upper:.6f}]")

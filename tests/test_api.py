@@ -11,7 +11,7 @@ import diamondsphere as ds
 from diamondsphere import ensemble, geometry, metrics, partition
 
 PUBLIC = [
-    "BOUNDARY_TOL", "CoveringRadius", "DiamondModel", "DuplicatePointError", "MEAN_CHORD",
+    "BOUNDARY_TOL", "DiamondModel", "DuplicatePointError", "MEAN_CHORD",
     "MatchingReport", "MetricsReport", "ModelConstants", "ModelError", "ModelSpec",
     "NORTH_POLE", "Partition", "PointSet", "Region", "SOUTH_POLE", "STOLARSKY_CONSTANT",
     "SideLengths", "SphericalCap", "SupDiscrepancy", "UnitVec", "VerificationFailure",
@@ -30,6 +30,7 @@ REMOVED = [
     (geometry, "chord_distance"),
     (geometry, "circumcap"),
     (geometry, "pair_diametral_cap"),
+    (metrics, "CoveringRadius"),
     (metrics, "mean_chord_monte_carlo"),
     (metrics, "mesh_ratio"),
     (metrics, "stolarsky_constant_estimate"),
@@ -69,7 +70,7 @@ def _instance(cls):
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     assert sorted(ds.__all__) == PUBLIC
     for name in ds.__all__:
         assert hasattr(ds, name), name
@@ -100,3 +101,8 @@ def test_model_holds_the_ring_table_and_exact_heights_only():
                                   "l2_discrepancy_stolarsky", "compute_metrics"])
 def test_pair_sweep_functions_take_no_worker_count(name):
     assert "workers" not in inspect.signature(getattr(ds, name)).parameters
+
+
+def test_covering_radius_takes_the_points_only():
+    """A partition's certified bound is covering_upper_bound's alone."""
+    assert list(inspect.signature(ds.covering_radius).parameters) == ["points"]

@@ -11,7 +11,6 @@ import pytest
 from conftest import exhaustive_offset_reference, make_random_spec, random_unit_points
 from diamondsphere import (
     ModelSpec,
-    PointSet,
     build_partition,
     covering_radius,
     covering_upper_bound,
@@ -139,13 +138,12 @@ def test_equals_candidate_family(name):
     want = family_covering(coords)
     if closed_form is not None:
         assert math.isclose(want, closed_form, rel_tol=1e-12)
-    assert math.isclose(covering_radius(coords).estimate, want, rel_tol=1e-12)
-    assert covering_radius(PointSet(coords)).upper_bound == 2.0
+    assert math.isclose(covering_radius(coords), want, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["short-arc", "hemisphere-cluster-12", "closed-hemisphere"])
 def test_hemisphere_sets_reach_sqrt2(name):
-    assert covering_radius(SMALL_SETS[name][0]).estimate >= math.sqrt(2.0) - 1e-12
+    assert covering_radius(SMALL_SETS[name][0]) >= math.sqrt(2.0) - 1e-12
 
 
 @pytest.mark.parametrize("M", [5, 20, 40])
@@ -154,29 +152,26 @@ def test_equals_convex_hull(M, theta):
     model = validate(simple_model(M, theta_policy=theta))
     pts = generate(model)
     want = hull_covering(pts.coords)
-    part = build_partition(model)
-    assert math.isclose(covering_radius(pts, partition=part).estimate, want, rel_tol=1e-12)
-    assert math.isclose(covering_radius(pts).estimate, want, rel_tol=1e-12)
+    assert math.isclose(covering_radius(pts), want, rel_tol=1e-12)
 
 
 def test_random_sets_equal_convex_hull():
     rng = np.random.default_rng(31)
     for n in (50, 400, 3000):
         coords = random_unit_points(rng, n)
-        assert math.isclose(covering_radius(coords).estimate, hull_covering(coords),
+        assert math.isclose(covering_radius(coords), hull_covering(coords),
                             rel_tol=1e-12)
 
 
 def test_report_workload_value():
     model = validate(simple_model(40, theta_policy="seed:3"))
-    cov = covering_radius(generate(model), partition=build_partition(model))
-    assert cov.estimate == 0.032968965971223736
+    assert covering_radius(generate(model)) == 0.032968965971223736
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 5, 12])
 def test_grid_estimate_is_a_lower_bound(M):
     pts = generate(validate(simple_model(M, theta_policy=f"seed:{M}")))
-    exact = covering_radius(pts).estimate
+    exact = covering_radius(pts)
     grid = grid_covering_estimate(pts.coords)
     assert grid <= exact + 1e-12
     assert grid > exact * (1.0 - 2e-2)
@@ -186,40 +181,30 @@ def test_invariant_under_rotation_and_permutation():
     rng = np.random.default_rng(5)
     for coords in (generate(validate(simple_model(6, theta_policy="seed:6"))).coords,
                    random_unit_points(rng, 200), hemisphere_cluster(15, 6)):
-        base = covering_radius(coords).estimate
+        base = covering_radius(coords)
         moved = coords[rng.permutation(len(coords))] @ rotation(rng).T
-        assert math.isclose(covering_radius(moved).estimate, base, rel_tol=1e-12)
-        assert covering_radius(coords[::-1]).estimate == base
+        assert math.isclose(covering_radius(moved), base, rel_tol=1e-12)
+        assert covering_radius(coords[::-1]) == base
 
 
 def test_duplicate_rows_do_not_change_the_value():
     coords = random_unit_points(np.random.default_rng(7), 40)
     doubled = np.vstack([coords, coords[:9]])
-    assert covering_radius(doubled).estimate == covering_radius(coords).estimate
+    assert covering_radius(doubled) == covering_radius(coords)
 
 
 def test_below_the_partition_bound_on_random_models():
     rng = np.random.default_rng(19)
     for k in range(10):
         model = validate(make_random_spec(rng, m_hi=14, theta_policy=f"seed:{k}"))
-        pts, part = generate(model), build_partition(model)
-        cov = covering_radius(pts, partition=part)
-        assert cov.upper_bound == covering_upper_bound(part)
-        assert cov.estimate <= cov.upper_bound
-        assert cov.estimate == covering_radius(pts).estimate
+        assert covering_radius(generate(model)) <= covering_upper_bound(build_partition(model))
 
 
-def test_a_wrong_partition_only_seeds_the_search():
-    model = validate(simple_model(6, theta_policy="seed:1"))
-    pts = generate(model)
-    want = covering_radius(pts).estimate
-    other = build_partition(validate(simple_model(6, theta_policy="zeros")))
-    assert covering_radius(pts, partition=other).estimate == want
+def test_random_points_exceed_the_partition_bound():
     # Random points leave holes far wider than the partition's bound.
+    model = validate(simple_model(6, theta_policy="seed:1"))
     coords = random_unit_points(np.random.default_rng(3), model.N)
-    cov = covering_radius(coords, partition=build_partition(model))
-    assert cov.estimate > cov.upper_bound
-    assert cov.estimate == covering_radius(coords).estimate
+    assert covering_radius(coords) > covering_upper_bound(build_partition(model))
 
 
 @pytest.mark.parametrize("M", [5, 10, 20, 40])
@@ -229,7 +214,7 @@ def test_no_partition_reaches_the_euler_count(M, monkeypatch):
 
     monkeypatch.setattr(metrics, "_exhaustive_offset", refuse)
     pts = generate(validate(simple_model(M, theta_policy="seed:3")))
-    assert covering_radius(pts).estimate > 0.0
+    assert covering_radius(pts) > 0.0
 
 
 EXHAUSTIVE_SETS = {
@@ -253,13 +238,11 @@ def test_every_facet_search_starts_at_the_covering_start(monkeypatch):
     # as the first chord would enumerate far too many triples.
     model = validate(ModelSpec(M=38, n=3, t=(0, 4, 13, 38), alpha=(0, 4, 4),
                                beta=(1, 0, 0), theta_policy="seed:17"))
-    pts, search = generate(model), metrics._empty_circumcaps
-    for partition in (None, build_partition(model)):
-        chords = []
-        monkeypatch.setattr(metrics, "_empty_circumcaps",
-                            lambda coords, h, open_: chords.append(h) or search(coords, h, open_))
-        covering_radius(pts, partition=partition)
-        assert chords[0] == metrics._COVERING_START / math.sqrt(model.N)
+    pts, search, chords = generate(model), metrics._empty_circumcaps, []
+    monkeypatch.setattr(metrics, "_empty_circumcaps",
+                        lambda coords, h, open_: chords.append(h) or search(coords, h, open_))
+    covering_radius(pts)
+    assert chords[0] == metrics._COVERING_START / math.sqrt(model.N)
 
 
 def test_large_hemisphere_set_stops_with_value_error():
@@ -278,7 +261,7 @@ def test_open_hemisphere_set_skips_the_facet_search(monkeypatch):
     """x_i . sum(x) > 0 for every point: the exhaustive family gives the
     value the facet search and its fallback gave."""
     _refuse_circumcaps(monkeypatch)
-    assert covering_radius(hemisphere_cluster(15, 6)).estimate == 1.6172166195664965
+    assert covering_radius(hemisphere_cluster(15, 6)) == 1.6172166195664965
 
 
 def test_large_open_hemisphere_set_fails_at_once(monkeypatch):

@@ -2,7 +2,9 @@
 and the two independent L2 routes."""
 
 import dataclasses
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from diamondsphere import (
     MEAN_CHORD,
     ModelSpec,
     PointSet,
+    compute_metrics,
     count_in_cap,
     equatorial_discrepancy,
     generate,
@@ -36,6 +39,7 @@ from diamondsphere import (
     sup_discrepancy_exact,
     validate,
 )
+from diamondsphere.cli import CSV_HEADER, main
 
 
 def polar_recount(model, pts) -> np.ndarray:
@@ -513,9 +517,27 @@ def test_sup_estimate_sweeps_few_rows_of_an_ensemble(monkeypatch):
 
 
 @pytest.mark.parametrize("n_samples", [-1, 2.5, True])
-def test_sup_estimate_rejects_a_bad_sample_count(n_samples):
-    with pytest.raises(ValueError, match="n_samples"):
-        sup_discrepancy_estimate(np.eye(3), n_samples=n_samples)
+def test_sup_estimate_rejects_a_bad_sample_count(n_samples, monkeypatch):
+    # compute_metrics stops on the count before any work, separation first.
+    monkeypatch.setattr(metrics, "separation", lambda points: pytest.fail("separation ran"))
+    pts = PointSet(np.eye(3))
+    for call in (lambda: sup_discrepancy_estimate(pts, n_samples=n_samples),
+                 lambda: compute_metrics(pts, sup_samples=n_samples)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_samples must be a nonnegative integer, got {n_samples!r}")):
+            call()
+
+
+def test_sup_of_one_point_is_its_own_cap(tmp_path, capsys):
+    """Exact, estimate and reference all return the point's closed cap, t = 1."""
+    lone = np.array([[0.0, 0.0, 1.0]])
+    exact = sup_discrepancy_exact(lone)
+    assert exact == sup_discrepancy_estimate(lone) == sup_exact_reference(lone)
+    assert (exact.value, exact.witness.t, exact.side) == (1.0, 1.0, "closed")
+    pts = tmp_path / "one.csv"
+    pts.write_text(",".join(CSV_HEADER) + "\n0,0,0,0,0,1,0,1\n")
+    assert main(["metrics", "--points", str(pts), "--sup", "exact"]) == 0
+    assert json.loads(capsys.readouterr().out)["d_sup_exact"] == 1.0
 
 
 @pytest.mark.parametrize("n_centers, message", [

@@ -1,6 +1,8 @@
 """Separation, covering, energies, and the aggregate report."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,26 +127,23 @@ def test_sup_estimate_invariant_under_permutation(M):
 
 
 def test_covering_octahedron(octahedron, octahedron_points):
-    part = build_partition(octahedron)
-    cov = covering_radius(octahedron_points, partition=part)
+    cov = covering_radius(octahedron_points)
+    upper = covering_upper_bound(build_partition(octahedron))
     # Exact value: circumradius of a face, sqrt(2 - 2/sqrt(3)).
     rho = math.sqrt(2.0 - 2.0 / math.sqrt(3.0))
-    assert cov.estimate <= rho + 1e-12
-    assert cov.estimate > rho - 1e-3
-    assert cov.upper_bound >= rho - 1e-12
+    assert cov <= rho + 1e-12
+    assert cov > rho - 1e-3
+    assert upper >= rho - 1e-12
     assert compute_metrics(octahedron_points, octahedron, energies=False,
                            sup_mode=None).mesh_ratio == \
-        pytest.approx(cov.upper_bound / math.sqrt(2.0), rel=1e-12)
+        pytest.approx(upper / math.sqrt(2.0), rel=1e-12)
 
 
 def test_covering_estimate_below_certified_bound():
     for M in (2, 3, 5):
         model = validate(simple_model(M))
-        pts = generate(model)
-        part = build_partition(model)
-        cov = covering_radius(pts, partition=part)
-        assert cov.estimate <= cov.upper_bound + 1e-12
-        assert cov.upper_bound == covering_upper_bound(part)
+        assert covering_radius(generate(model)) <= \
+            covering_upper_bound(build_partition(model)) + 1e-12
 
 
 def test_compute_metrics_report_octahedron(octahedron, octahedron_points):
@@ -220,6 +219,19 @@ def test_compute_metrics_checks_the_center_sweeps_before_any_work(
         compute_metrics(octahedron_points, **kwargs)
 
 
+def test_readme_work_limits_match_the_code():
+    """Each `<number> (`NAME`` cell of README's Work limits table, 10^k read
+    as 10**k, is metrics.NAME: a changed limit fails until the README follows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n### Work limits\n", 1)[1].split("\n#", 1)[0]
+    cells = re.findall(r"\| (\d[\d,]*(?:\^\d+)?) \(`(\w+)`", section)
+    assert {name for _, name in cells} >= {"SUP_EXACT_MAX_POINTS", "_CENTER_SWEEP_MAX_DOTS",
+                                           "_PAIR_SWEEP_MAX_PAIRS", "_COVERING_MAX_WORK"}
+    for number, name in cells:
+        base, _, exp = number.replace(",", "").partition("^")
+        assert int(base) ** int(exp or 1) == getattr(metrics, name), name
+
+
 def test_compute_metrics_runs_a_repeated_exponent_once(octahedron_points, monkeypatch):
     swept = []
     energy_sums = metrics._energy_sums
@@ -245,9 +257,8 @@ def test_compute_metrics_constants_for_simple_model():
 def test_small_sets_separation_covering_mesh():
     north = PointSet(np.array([[0.0, 0.0, 1.0]]))
     cov = covering_radius(north)
-    # south pole is the farthest location; no partition means trivial bound
-    assert cov.upper_bound == 2.0
-    assert 2.0 - 1e-2 < cov.estimate <= 2.0
+    # south pole is the farthest location
+    assert 2.0 - 1e-2 < cov <= 2.0
 
     pair = PointSet(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
     assert separation(pair) == 2.0

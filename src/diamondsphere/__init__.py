@@ -15,11 +15,10 @@ from .metrics import (MEAN_CHORD, STOLARSKY_CONSTANT, MetricsReport, SupDiscrepa
                       l2_discrepancy_quadrature, l2_discrepancy_stolarsky, log_energy,
                       polar_cap_profile, riesz_energy, separation, sum_distances,
                       sup_discrepancy_estimate, sup_discrepancy_exact)
-from .partition import (MatchingReport, Partition, Region, SideLengths,
-                        VerificationFailure, build_partition, certify,
-                        covering_upper_bound, partition_records, polar_cap_radius,
-                        region_area, region_area_fraction_exact, side_lengths,
-                        verify_matching)
+from .partition import (Partition, Region, SideLengths, VerificationFailure,
+                        build_partition, certify, covering_upper_bound, partition_records,
+                        polar_cap_radius, region_area, region_area_fraction_exact,
+                        side_lengths, verify_matching)
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = ["DiamondModel", "ModelConstants", "ModelError", "ModelSpec", "generat
            "compute_metrics", "covering_radius", "equatorial_discrepancy",
            "l2_discrepancy_quadrature", "l2_discrepancy_stolarsky", "log_energy",
            "polar_cap_profile", "riesz_energy", "separation", "sum_distances",
-           "sup_discrepancy_estimate", "sup_discrepancy_exact", "MatchingReport",
-           "Partition", "Region", "SideLengths", "VerificationFailure", "build_partition",
+           "sup_discrepancy_estimate", "sup_discrepancy_exact", "Partition", "Region",
+           "SideLengths", "VerificationFailure", "build_partition",
            "certify", "covering_upper_bound", "partition_records", "polar_cap_radius",
            "region_area", "region_area_fraction_exact", "side_lengths", "verify_matching"]

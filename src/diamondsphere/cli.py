@@ -292,6 +292,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     model = _resolve_model(args)
+    if args.check_envelope and not (args.mode in ("exact", "estimate") and model.is_simple):
+        raise ValueError("--check-envelope needs --mode exact or estimate and a one-piece model")
     n = model.N
     _check_work(n, sup_mode=args.mode if args.mode in ("exact", "estimate") else None,
                 sup_samples=args.samples, max_points=args.max_points,
@@ -424,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-centers", type=_count(1), default=_QUAD_CENTERS)
     p.add_argument("--check-envelope", action="store_true",
                    help="exit 3 if the value leaves [sqrt(N-2)/N, (4+2*sqrt(2))/sqrt(N)], "
-                        "+-1e-12, for a one-piece model: a pass certifies the supremum with "
-                        "--mode exact; the estimate is a lower bound, so only its failure counts")
+                        "+-1e-12; one-piece models and --mode exact or estimate only: a pass "
+                        "certifies the supremum with --mode exact; the estimate is a lower "
+                        "bound, so only its failure counts")
     p.add_argument("--json", default="-", metavar="FILE")
     p.set_defaults(func=cmd_discrepancy)
 

@@ -10,9 +10,10 @@ interior to its ring: b_{j+1} < z_j < b_j.  All of that is certified in
 rational arithmetic from the counts N_j of ``DiamondModel.rings``, which
 also gives r, theta, the first index N_j of a ring and every float, and
 whose rings 0 and p + 1 are the polar caps, one cell each.  ``certify``
-runs every check that the ``verify`` command reports, and
-``_region_rings`` lists the regions ring by ring for ``partition_records``
-and the ``partition`` command's CSV.
+runs every check that the ``verify`` command reports, each of which,
+``verify_matching`` too, returns nothing or raises VerificationFailure
+with its reasons, and ``_region_rings`` lists the regions ring by ring
+for ``partition_records`` and the ``partition`` command's CSV.
 
 Region ownership conventions (fixed for the whole package):
 
@@ -87,10 +88,6 @@ class Partition:
 
     def __init__(self, model: DiamondModel):
         self.model = model
-        # Height boundaries bottom-up for locate_many(); the symmetry of r
-        # makes b_{2M+1-k} = -b_k: -1 < -h_1 < ... < -h_M < h_M < ... < h_1 < 1.
-        self._asc_bounds = model.rings.b[::-1]
-        assert np.all(np.diff(self._asc_bounds) > 0)
 
     # -- region materialization -------------------------------------------
 
@@ -124,8 +121,10 @@ class Partition:
         """Region id containing each row (a total function); rows must be unit vectors."""
         coords = np.asarray(coords, dtype=float)
         p, rings = self.model.p, self.model.rings
-        # Ascending band b owns (asc[b], asc[b + 1]] of ring p + 1 - b; z = -1 is in band 0.
-        band = np.searchsorted(self._asc_bounds, coords[:, 2], side="left") - 1
+        # The bounds bottom-up, -1 < -h_1 < ... < h_1 < 1 (b strictly decreases
+        # since every r >= 1): band b owns (asc[b], asc[b + 1]] of ring
+        # p + 1 - b, and z = -1 is in band 0.
+        band = np.searchsorted(rings.b[::-1], coords[:, 2], side="left") - 1
         ring = p + 1 - np.clip(band, 0, p + 1)
         phi = np.arctan2(coords[:, 1], coords[:, 0]) % TWO_PI
         r = rings.r[ring]
@@ -188,18 +187,7 @@ def polar_cap_radius(partition: Partition) -> float:
     return 2.0 * math.asin(1.0 / math.sqrt(partition.model.N))
 
 
-@dataclass(frozen=True)
-class MatchingReport:
-    """Outcome of verify_matching: exact certificates plus float location."""
-
-    ok: bool
-    interleaving_ok: bool
-    bijection_ok: bool
-    point_to_region: np.ndarray
-    failures: tuple[str, ...]
-
-
-def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
+def verify_matching(partition: Partition, points: PointSet) -> None:
     """Certify that locate_many() is a bijection points <-> regions.
 
     Exact part: b_{j+1} < z_j < b_j for every parallel, in rational
@@ -209,7 +197,9 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
     tie is possible).  Float part: locate_many() applied to the points,
     row k read as point k of the generated order, must reproduce the exact
     matching.  Only the coordinates are read, so a bare PointSet of the
-    ensemble passes; a set of any other size than N fails.
+    ensemble passes; a set of any other size than N fails with both
+    counts named.  Every failing check adds its reason, and the first ten
+    go into the VerificationFailure raised at the end.
     """
     model = partition.model
     failures: list[str] = []
@@ -218,29 +208,27 @@ def verify_matching(partition: Partition, points: PointSet) -> MatchingReport:
         reg = partition.region(int(model.rings.first[j]))
         if not (reg.h_lo_exact < zj < reg.h_hi_exact):
             failures.append(f"parallel {j}: z = {zj} outside ({reg.h_lo_exact}, {reg.h_hi_exact})")
-    interleaving_ok = not failures
 
     if len(points) != model.N:
         failures.append(f"{len(points)} points for the {model.N} regions")
-        return MatchingReport(False, interleaving_ok, False,
-                              np.empty(0, dtype=np.int64), tuple(failures))
+    else:
+        # Point k of the ring with first point and first region N_j lies in
+        # region N_j + (k - N_j - 1) mod r_j; a pole, r = 1, in its own cap.
+        N, rings = model.N, model.rings
+        first, r = np.repeat(rings.first, rings.r), np.repeat(rings.r, rings.r)
+        expected = first + (np.arange(N) - first - 1) % r
+        located = partition.locate_many(points.coords)
+        for idx in np.nonzero(located != expected)[0][:8]:
+            failures.append(
+                f"point {idx}: locate -> {located[idx]}, matching says {expected[idx]}"
+            )
+        counts = np.bincount(expected, minlength=N)  # every region id once, in O(N)
+        if (counts != 1).any():
+            rid = int(np.argmax(counts != 1))
+            failures.append(f"region {rid} is matched to {counts[rid]} points")
 
-    # Point k of the ring with first point and first region N_j lies in
-    # region N_j + (k - N_j - 1) mod r_j; a pole, r = 1, in its own cap.
-    N, rings = model.N, model.rings
-    first, r = np.repeat(rings.first, rings.r), np.repeat(rings.r, rings.r)
-    expected = first + (np.arange(N) - first - 1) % r
-    located = partition.locate_many(points.coords)
-    mism = np.nonzero(located != expected)[0]
-    for idx in mism[:8]:
-        failures.append(
-            f"point {idx}: locate -> {located[idx]}, matching says {expected[idx]}"
-        )
-    # every region id exactly once, counted in O(N)
-    bijection_ok = mism.size == 0 and bool((np.bincount(expected, minlength=N) == 1).all())
-
-    ok = interleaving_ok and bijection_ok
-    return MatchingReport(ok, interleaving_ok, bijection_ok, located, tuple(failures))
+    if failures:
+        raise VerificationFailure("matching verification failed: " + "; ".join(failures[:10]))
 
 
 def side_lengths(partition: Partition, j: int) -> SideLengths:
@@ -270,8 +258,9 @@ def certify(partition: Partition, points: PointSet) -> str:
     """Run verify's checks in order and return the label of the side band.
 
     Exact areas are checked once per ring, caps included, whose cells share
-    exact heights and r, and float areas per cell to their rounding bound.
-    Raises VerificationFailure at the first failure.
+    exact heights and r, and float areas per cell to their rounding bound;
+    then verify_matching, then the side band.  Raises VerificationFailure
+    at the first check that fails, with verify_matching's own message.
     """
     model = partition.model
     n = model.N
@@ -284,10 +273,7 @@ def certify(partition: Partition, points: PointSet) -> str:
         if off.size:
             raise VerificationFailure(f"region {rid + int(off[0])} float area off 4*pi/N")
 
-    report = verify_matching(partition, points)
-    if not report.ok:
-        raise VerificationFailure("matching verification failed: "
-                                  + "; ".join(report.failures[:10]))
+    verify_matching(partition, points)
 
     # Shape control on the canonical horizontal side (the arc at the
     # collar's defining height): the tight band for the one-piece model,

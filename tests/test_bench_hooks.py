@@ -1,5 +1,6 @@
 """Every name the benchmark's tracer and layer ladder reach must resolve,
-and every command its workloads run must parse.
+every command its workloads run must parse, and one pass of each workload
+must exit 0 and pass the workload's own output check.
 
 perfbench/tracer.py wraps module functions and methods by name,
 perfbench/ladder.py calls package attributes as ds.<name>, and
@@ -13,8 +14,10 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import diamondsphere
-from diamondsphere.cli import build_parser
+from diamondsphere.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +60,20 @@ def test_workload_argvs_parse():
         for seed in (0, 7):
             for argv in script(seed):
                 parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_workload_pass_exits_0_and_passes_its_check(name, tmp_path, monkeypatch, capsys):
+    """One pass at pass seed 7, run as the benchmark runs it: every command
+    through cli.main in a fresh directory, stdout captured for the check."""
+    workloads = _load("workloads")
+    script, check = workloads.WORKLOADS[name]
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for argv in script(7):
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 0, (argv, out.err)
+        results.append(workloads.CommandResult(argv, code, out.out))
+    errors = check(results)
+    assert errors == [None] * len(errors), errors

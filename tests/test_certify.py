@@ -44,10 +44,7 @@ def reference_verify(part, points) -> str:
         if abs(region_area(region) - area_f) > 1e-12 * area_f:
             raise VerificationFailure(f"region {rid} float area off 4*pi/N")
 
-    report = verify_matching(part, points)
-    if not report.ok:
-        raise VerificationFailure("matching verification failed: "
-                                  + "; ".join(report.failures[:10]))
+    verify_matching(part, points)
 
     sq = math.sqrt(n)
     if model.is_simple:
@@ -175,16 +172,51 @@ def test_tampered_cap_height_fails_at_region_0():
     assert message == _failure(reference_verify, part, points)
 
 
-def test_swapped_point_rows_fail_matching():
+def _collar_lifted_above_its_parallel():
+    """N_3 = N_2 + 1 lifts b_3 to b_2 - 2/N, above z_2, and overlaps rings 2
+    and 3, so region 6 takes two points."""
+    model = validate(simple_model(3))
+    first = model.rings.first.copy()
+    first[3] = first[2] + 1
+    reason = f"parallel 2: z = {model.z_exact[1]} outside (13/19, 14/19); point 13: "
+    return build_partition(_with_first(model, first)), generate(model), reason
+
+
+def _one_point_short():
+    model = validate(simple_model(3, theta_policy="seed:2"))
+    coords = generate(model).coords[:-1]
+    return build_partition(model), PointSet(coords), "37 points for the 38 regions"
+
+
+def _two_rows_swapped():
     model = validate(simple_model(3, theta_policy="seed:5"))
-    part, points = build_partition(model), generate(model)
-    coords = points.coords.copy()
+    coords = generate(model).coords.copy()
     coords[[4, 9]] = coords[[9, 4]]
-    swapped = PointSet(coords)
+    return build_partition(model), PointSet(coords), "point 4: locate -> "
+
+
+def test_swapped_point_rows_fail_matching():
+    part, swapped, _ = _two_rows_swapped()
     message = _failure(certify, part, swapped)
     assert message.startswith("matching verification failed: point 4: locate -> ")
     assert "; point 9: " in message
     assert message == _failure(reference_verify, part, swapped)
+
+
+@pytest.mark.parametrize("case", [_collar_lifted_above_its_parallel, _one_point_short,
+                                  _two_rows_swapped], ids=["interleaving", "short", "swapped"])
+def test_matching_failure_reads_the_same_from_verify_matching_and_certify(case, monkeypatch):
+    """certify raises verify_matching's own text.  The lifted collar also
+    breaks its ring's exact area, which certify checks first, so that check
+    is patched to pass here."""
+    part, points, reason = case()
+    message = _failure(verify_matching, part, points)
+    assert message.startswith("matching verification failed: " + reason)
+    if case is _collar_lifted_above_its_parallel:
+        assert message.endswith("; region 6 is matched to 2 points")
+        monkeypatch.setattr(partition_mod, "region_area_fraction_exact",
+                            lambda part, region: Fraction(1, part.model.N))
+    assert _failure(certify, part, points) == message
 
 
 @pytest.mark.parametrize("model", [MODELS[2], MODELS[-1]], ids=["simple", "random"])

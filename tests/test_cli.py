@@ -196,6 +196,20 @@ def test_discrepancy_exact_envelope(capsys):
         payload["envelope"]["upper"]
 
 
+@pytest.mark.parametrize("mode, simple", [
+    ("polar", True), ("equatorial", True), ("l2-stolarsky", True), ("l2-quadrature", True),
+    ("exact", False), ("estimate", False),
+])
+def test_check_envelope_outside_its_modes_exits_2_before_generating(mode, simple, tmp_path,
+                                                                   no_generate, capsys):
+    """The envelope is a one-piece bound on a sup value; elsewhere the flag
+    would check nothing."""
+    model = ["--simple-M", "3"] if simple else ["--model", _model_file(tmp_path)]
+    code, out, err = run(["discrepancy", *model, "--mode", mode, "--check-envelope"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --check-envelope needs --mode exact or estimate and a one-piece model\n"
+
+
 def test_discrepancy_size_cap_message(capsys):
     code, _, err = run(["discrepancy", "--simple-M", "7", "--mode", "exact"],
                        capsys)

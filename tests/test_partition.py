@@ -18,6 +18,7 @@ from conftest import (
 )
 from diamondsphere import (
     PointSet,
+    VerificationFailure,
     build_partition,
     covering_upper_bound,
     generate,
@@ -109,20 +110,19 @@ def test_locate_total_on_random_directions(simple_suite):
 
 def test_matching_is_bijection(simple_suite):
     for M, (model, points, part) in simple_suite.items():
-        report = verify_matching(part, points)
-        assert report.ok, report.failures[:4]
-        assert report.interleaving_ok and report.bijection_ok
-        assert len(np.unique(report.point_to_region)) == model.N
+        assert verify_matching(part, points) is None
+        assert len(np.unique(part.locate_many(points.coords))) == model.N
 
 
 def test_matching_reads_only_the_coordinates():
     model = validate(simple_model(3, theta_policy="seed:2"))
     part = build_partition(model)
     coords = generate(model).coords.copy()
-    assert verify_matching(part, PointSet(coords)).ok
-    short = verify_matching(part, PointSet(coords[:-1]))
-    assert short.interleaving_ok and not short.bijection_ok and not short.ok
-    assert short.failures == (f"{model.N - 1} points for the {model.N} regions",)
+    assert verify_matching(part, PointSet(coords)) is None
+    with pytest.raises(VerificationFailure) as short:
+        verify_matching(part, PointSet(coords[:-1]))
+    assert str(short.value) == \
+        f"matching verification failed: {model.N - 1} points for the {model.N} regions"
 
 
 def test_matching_random_models_with_rotations():
@@ -131,8 +131,7 @@ def test_matching_random_models_with_rotations():
         spec = make_random_spec(rng, m_hi=15, theta_policy=f"seed:{k}")
         model = validate(spec)
         part = build_partition(model)
-        report = verify_matching(part, generate(model))
-        assert report.ok, report.failures[:4]
+        assert verify_matching(part, generate(model)) is None
 
 
 def test_interleaving_reads_the_collar_heights():
@@ -143,14 +142,15 @@ def test_interleaving_reads_the_collar_heights():
     part = build_partition(dataclasses.replace(
         model, rings=dataclasses.replace(model.rings, first=first)))
     z = model.z_exact[j - 1]
-    report = verify_matching(part, generate(model))
-    assert not report.interleaving_ok and not report.ok
-    assert report.failures[0].startswith(f"parallel {j}: z = {z} outside (")
+    with pytest.raises(VerificationFailure) as info:
+        verify_matching(part, generate(model))
+    assert str(info.value).startswith(
+        f"matching verification failed: parallel {j}: z = {z} outside (")
 
 
 def test_matching_convention_point_vs_region(simple_suite):
     model, points, part = simple_suite[2]
-    point_to_region = verify_matching(part, points).point_to_region
+    point_to_region = part.locate_many(points.coords)
     # Within a ring of r cells, region i holds point (i + 1) mod r, so
     # point i's home is one cell back.
     par = parallels_reference(model.spec)
@@ -311,7 +311,7 @@ def test_boundary_formula_equals_the_recurrence_and_mirror_rule():
         assert tuple(reg.h_hi_exact for reg in collars[:model.M]) == tuple(h)
         hf = np.array([float(v) for v in h])
         want = np.concatenate([[-1.0], -hf, hf[::-1], [1.0]])
-        assert part._asc_bounds.tobytes() == want.tobytes()
+        assert model.rings.b[::-1].tobytes() == want.tobytes()
 
 
 def _differential_models():
@@ -356,9 +356,8 @@ def test_ring_table_readers_equal_the_pole_branch_references():
         part, points = build_partition(model), generate(model)
         probes = np.vstack([points.coords, _locate_probes(model, rng)])
         assert np.array_equal(part.locate_many(probes), locate_many_reference(part, probes))
-        report = verify_matching(part, points)
-        assert report.ok, report.failures[:4]
-        assert np.array_equal(report.point_to_region, matching_reference(model))
+        assert verify_matching(part, points) is None
+        assert np.array_equal(part.locate_many(points.coords), matching_reference(model))
         assert covering_upper_bound(part) == covering_upper_bound_reference(part)
         b, z = model.rings.b.tolist(), model.rings.z.tolist()
         for j in (0, model.p + 1):  # a cap's farthest point is its rim

@@ -239,11 +239,19 @@ def cmd_partition(args) -> int:
 
 def _check_ensemble_file(path: str, model: DiamondModel, points: PointSet,
                          error: type[Exception]) -> None:
-    """Every column of the file must equal what write_points_csv writes for the model."""
+    """Every column of the file must equal what write_points_csv writes for the
+    model; else error names both row counts, or the first differing data row
+    (0-based, as _read_points counts them) and its first differing column."""
     table, _ = _read_points(path)  # its points pass PointSet's row checks, as in any file
-    columns = zip(CSV_HEADER, _csv_columns(model, points))
-    if any(table[k].tolist() != list(v) for k, v in columns):
-        raise error(f"{path} does not match the model ensemble")
+    if len(table) != model.N:
+        raise error(f"{path} does not match the model ensemble: "
+                    f"{len(table)} data rows, want {model.N}")
+    bad = [np.flatnonzero(table[k] != np.asarray(v))
+           for k, v in zip(CSV_HEADER, _csv_columns(model, points))]
+    first = min(((rows[0], c) for c, rows in enumerate(bad) if rows.size), default=None)
+    if first is not None:
+        raise error(f"{path} does not match the model ensemble: "
+                    f"row {first[0]}, column {CSV_HEADER[first[1]]}")
 
 
 def cmd_verify(args) -> int:
@@ -267,18 +275,10 @@ def cmd_metrics(args) -> int:
     riesz_s = tuple(float(s) for s in raw.split(",")) if raw else ()
     sup_mode = None if args.sup == "none" else args.sup
     model = _resolve_model(args)
-    if model is not None:  # its bound and exact profiles hold for its own points only
-        _check_work(model.N, model, riesz_s, pair_sums=not args.no_energies, sup_mode=sup_mode,
-                    sup_samples=args.samples, quad_centers=args.l2_quadrature and _QUAD_CENTERS)
-        points = generate(model)  # after the checks, which read only the model
-        if args.points:
-            _check_ensemble_file(args.points, model, points, ValueError)
-    elif args.points:
-        points = read_points_csv(args.points)
-    else:
+    if model is None and not args.points:
         raise ValueError("need --points or a model")
     report = compute_metrics(
-        points, model,
+        model if model is not None else read_points_csv(args.points),
         riesz_s=riesz_s,
         energies=not args.no_energies,
         sup_mode=sup_mode,
@@ -286,6 +286,8 @@ def cmd_metrics(args) -> int:
         sup_seed=args.seed,
         l2_quadrature=args.l2_quadrature,
     )
+    if model is not None and args.points:  # after compute_metrics' work checks
+        _check_ensemble_file(args.points, model, generate(model), ValueError)
     _dump_json(report.to_dict(), args.json)
     return 0
 
@@ -298,7 +300,7 @@ def cmd_discrepancy(args) -> int:
     _check_work(n, sup_mode=args.mode if args.mode in ("exact", "estimate") else None,
                 sup_samples=args.samples, max_points=args.max_points,
                 quad_centers=args.quad_centers if args.mode == "l2-quadrature" else 0)
-    points = None if args.mode == "polar" else generate(model)
+    points = None if args.mode in ("polar", "l2-stolarsky") else generate(model)
     out = {"N": n, "mode": args.mode}
     code = 0
 
@@ -316,7 +318,7 @@ def cmd_discrepancy(args) -> int:
         out["value"] = float(eq.exact)
         out["counting"] = eq.counting
     elif args.mode == "l2-stolarsky":
-        out["value"] = l2_discrepancy_stolarsky(points, model)
+        out["value"] = l2_discrepancy_stolarsky(model)
     elif args.mode == "l2-quadrature":
         out["value"] = l2_discrepancy_quadrature(points, n_centers=args.quad_centers)
     else:

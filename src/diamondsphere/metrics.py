@@ -9,15 +9,16 @@ distance-sum identity, and a grid of cap centers with the height
 integral done exactly).
 
 Pairwise sums (Riesz, log and distance, and the Stolarsky L2 from the
-distance sum) take one of two routes.  A point set equal bit for bit to
-generate(model), with that model given, takes the ring route
+distance sum) take one of two routes, chosen by the source that
+compute_metrics and l2_discrepancy_stolarsky take.  A model stands for
+its own ensemble, generate(model), and takes the ring route
 (_ring_sums): each ring pair is a circulant block whose sum is one
 periodic mean, taken on the fewest equally spaced nodes whose proved
 alias bound is below _RING_ALIAS_TOL, or on all lcm(r_a, r_b) offsets
-where no bound is proved.  Every other point set, and the public
-riesz_energy, log_energy and sum_distances, take the O(N^2) tile sweep
-(_pair_sums).  Every super-linear kernel but the covering radius checks
-its size through _check_work before it starts.
+where no bound is proved.  A point set, and the public riesz_energy,
+log_energy and sum_distances, take the O(N^2) tile sweep (_pair_sums).
+Every super-linear kernel but the covering radius checks its size
+through _check_work before it starts.
 
 Determinism contract: every randomized routine takes an explicit seed.
 The pair sweep runs over a tiling fixed by N, and the ring route over
@@ -425,8 +426,8 @@ def _pair_sums(coords: np.ndarray, riesz_s: tuple[float, ...] = (),
     distance sum.  Squared distances are computed once per tile and
     shared by every kernel.  The tiles are fixed by N and each row's
     partials are combined with exact summation, so the tiling fixes the
-    results bit for bit.  This is the route for any point set; a model's
-    own ensemble takes _ring_sums through _energy_sums instead.  Riesz and
+    results bit for bit.  This is the route for any point set; a model
+    given as a source takes _ring_sums instead.  Riesz and
     log sums raise DuplicatePointError on coincident points, which a
     distance-only sweep accepts; ValueError for an exponent outside
     0 < s < inf or past the sweep's limit (_check_work), both before any
@@ -558,16 +559,6 @@ def _ring_sums(model: DiamondModel, riesz_s: tuple[float, ...] = (),
                 for i in group:
                     partials[i].append(float((w * kernels[i](d2)).sum()))
     return _doubled_totals(riesz_s, partials)
-
-
-def _energy_sums(points, model: DiamondModel | None, riesz_s: tuple[float, ...] = (),
-                 log: bool = False, distance: bool = False) -> list[float]:
-    """_pair_sums' totals, from the rings when points are generate(model)
-    bit for bit (an O(N) check that trusts no tag), else by the sweep."""
-    coords = _as_coords(points)
-    if model is not None and np.array_equal(coords, generate(model).coords):
-        return _ring_sums(model, riesz_s, log, distance)
-    return _pair_sums(coords, riesz_s, log, distance)
 
 
 def riesz_energy(points, s: float) -> float:
@@ -888,11 +879,11 @@ def _stolarsky_l2(distance_sum: float, n: int) -> float:
     return math.sqrt(max(0.0, gap) / STOLARSKY_CONSTANT)
 
 
-def l2_discrepancy_stolarsky(points, model: DiamondModel | None = None) -> float:
+def l2_discrepancy_stolarsky(source: PointSet | DiamondModel) -> float:
     """L2 cap discrepancy via the distance-sum identity (see module head).
 
-    With the model whose ensemble the points are, bit for bit, the distance
-    sum comes from its rings (_energy_sums), as in compute_metrics.
+    A model stands for its own ensemble, and its distance sum comes from
+    its rings (_ring_sums); a point set takes the tile sweep.
 
     D = sqrt((4/3 - S/N^2)/8) cancels most digits of the distance sum S:
     a rounding error e in S/N^2 moves D by e/(16 D) absolute, and S/N^2
@@ -902,9 +893,11 @@ def l2_discrepancy_stolarsky(points, model: DiamondModel | None = None) -> float
     M = 100; the loss grows like N^(3/2).  D^2 keeps the absolute error
     of S/N^2, so tests compare D^2 (at abs 1e-15), not D.
     """
-    coords = _as_coords(points)
+    if isinstance(source, DiamondModel):
+        return _stolarsky_l2(_ring_sums(source, distance=True)[0], source.N)
+    coords = _as_coords(source)
     n = len(coords)
-    return _stolarsky_l2(0.0 if n == 1 else _energy_sums(coords, model, distance=True)[0], n)
+    return _stolarsky_l2(0.0 if n == 1 else _pair_sums(coords, distance=True)[0], n)
 
 
 def l2_discrepancy_quadrature(points, n_centers: int = _QUAD_CENTERS) -> float:
@@ -975,8 +968,7 @@ class MetricsReport:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def compute_metrics(points: PointSet,
-                    model: DiamondModel | None = None,
+def compute_metrics(source: PointSet | DiamondModel,
                     *,
                     riesz_s: tuple[float, ...] = (1.0,),
                     energies: bool = True,
@@ -986,20 +978,24 @@ def compute_metrics(points: PointSet,
                     l2_quadrature: bool = False) -> MetricsReport:
     """One-stop metrics bundle used by the command-line front end.
 
-    Beside the exact covering radius it reads the certified bound from the
-    model's partition itself (the trivial 2 without a model), and the mesh
-    ratio is that bound over the separation.  A model's rings give the
-    energies and the Stolarsky L2 when points equal generate(model) bit
-    for bit; else the tile sweep does (_energy_sums).
+    The source is a point set or a model.  A model stands for its own
+    ensemble, generated once after the checks below, and adds what holds
+    for that ensemble only: its partition's certified covering bound and
+    the mesh ratio over it, the exact polar and equatorial discrepancies,
+    the envelope and the model constants; its energies and Stolarsky L2
+    come from its rings (_ring_sums).  A point set takes the tile sweep
+    (_pair_sums), and its covering bound is the trivial 2.
     Before any work: ValueError for an unknown sup_mode, a Riesz exponent
     outside 0 < s < inf (also with energies off) or a kernel past its
-    limit (_check_work): the sweep's without a model, the ring sums' with
-    one and energies on; a repeated exponent runs once.
+    limit (_check_work): the sweep's for a point set, the ring sums' for
+    a model with energies on; a repeated exponent runs once.
     """
-    n = len(points)
+    model = source if isinstance(source, DiamondModel) else None
+    n = len(source) if model is None else model.N
     riesz_s = _check_work(n, model, riesz_s, pair_sums=energies or model is None,
                           sup_mode=sup_mode, sup_samples=sup_samples,
                           quad_centers=l2_quadrature and _QUAD_CENTERS)
+    points = source if model is None else generate(model)
     rep = MetricsReport(n_points=n)
 
     if n >= 2:
@@ -1013,11 +1009,12 @@ def compute_metrics(points: PointSet,
         if model is not None:
             rep.mesh_ratio = rep.covering_upper_bound / rep.separation
         if energies:
-            *riesz, rep.log_energy, rep.sum_distances = _energy_sums(
-                points, model, riesz_s, log=True, distance=True)
+            *riesz, rep.log_energy, rep.sum_distances = (
+                _pair_sums(_as_coords(points), riesz_s, log=True, distance=True)
+                if model is None else _ring_sums(model, riesz_s, log=True, distance=True))
             rep.riesz = {str(s): v for s, v in zip(riesz_s, riesz)}
     if rep.sum_distances is None:
-        rep.d_l2_stolarsky = l2_discrepancy_stolarsky(points, model)
+        rep.d_l2_stolarsky = l2_discrepancy_stolarsky(source)
     else:
         rep.d_l2_stolarsky = _stolarsky_l2(rep.sum_distances, n)
     if l2_quadrature:

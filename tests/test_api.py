@@ -104,6 +104,16 @@ def test_pair_sweep_functions_take_no_worker_count(name):
     assert "workers" not in inspect.signature(getattr(ds, name)).parameters
 
 
+@pytest.mark.parametrize("name", ["compute_metrics", "l2_discrepancy_stolarsky"])
+def test_metrics_take_one_source_and_no_model(name):
+    """A model stands for its own ensemble: one positional source, a point
+    set or a model, and no (points, model) pair that could disagree."""
+    params = inspect.signature(getattr(ds, name)).parameters
+    assert [p.name for p in params.values() if p.kind is not p.KEYWORD_ONLY] == ["source"]
+    assert params["source"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert "model" not in params
+
+
 def test_covering_radius_takes_the_points_only():
     """A partition's certified bound is covering_upper_bound's alone."""
     assert list(inspect.signature(ds.covering_radius).parameters) == ["points"]

@@ -52,6 +52,17 @@ def test_ladder_names_resolve():
     assert not missing
 
 
+LADDER = _load("ladder")._ladders(diamondsphere, "seed:7")
+
+
+@pytest.mark.parametrize("ms, make", [(ms, make) for _, ms, make in LADDER],
+                         ids=[name for name, _, _ in LADDER])
+def test_ladder_first_rung_runs(ms, make):
+    """The layer's first rung, called once as run_ladder's warm-up call
+    does: a signature that the ladder's call no longer binds to fails here."""
+    make(ms[0])()
+
+
 def test_workload_argvs_parse():
     """Every command of every workload, for two pass seeds, parses with the
     CLI's own parser (argparse exits 2 on an unknown flag)."""

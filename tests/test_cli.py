@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import diamondsphere
-from diamondsphere import generate, simple_model, validate
+from diamondsphere import generate, l2_discrepancy_stolarsky, simple_model, validate
 from diamondsphere.cli import CSV_HEADER, main, read_points_csv
 
 
@@ -141,6 +141,35 @@ def test_points_file_must_match_every_column(edit, tmp_path, capsys):
     assert code == 0 and "matches the regenerated ensemble bit for bit" in out
 
 
+def _raise_x(k: int, by: float):
+    def edit(lines):
+        cells = lines[k + 1].split(",")
+        cells[3] = repr(float(cells[3]) + by)
+        lines[k + 1] = ",".join(cells)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_raise_x(5, 1e-13), "row 5, column x"),
+    (lambda lines: _set_field(7, 1, "9")(_set_field(5, 7, "0.5")(lines)), "row 5, column z_height"),
+    (lambda lines: lines[:-1], "37 data rows, want 38"),
+], ids=["x-of-row-5", "first-row-first", "last-row-missing"])
+def test_ensemble_file_check_names_where_the_file_differs(edit, where, tmp_path, capsys):
+    """Data rows count from 0, as in the reader's `row k has index ...`; of
+    several differing fields the first row's first column is named.  x + 1e-12
+    on row 5 (x = 0.84) would move its squared norm by 1.7e-12, past
+    UNIT_NORM_TOL, so the raise is 1e-13."""
+    good = tmp_path / "pts.csv"
+    run(["gen", "--simple-M", "3", "-o", str(good)], capsys)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    for argv, want, prefix in ((["verify"], 3, "verification failure"), (["metrics"], 2, "error")):
+        code, out, err = run([*argv, "--simple-M", "3", "--points", str(bad)], capsys)
+        assert (code, out) == (want, "")
+        assert err == f"{prefix}: {bad} does not match the model ensemble: {where}\n"
+
+
 def test_explicit_theta_zeros_wins_over_the_model_file(tmp_path, capsys):
     seeded, plain = tmp_path / "seeded.json", tmp_path / "plain.json"
     model = {"M": 4, "n": 2, "t": [0, 2, 4], "alpha": [0, 4], "beta": [3, 1]}
@@ -175,6 +204,7 @@ def no_generate(monkeypatch):
         raise AssertionError("the points were generated")
 
     monkeypatch.setattr(diamondsphere.cli, "generate", fail)
+    monkeypatch.setattr(diamondsphere.metrics, "generate", fail)
 
 
 def test_discrepancy_polar_literal(no_generate, capsys):
@@ -275,6 +305,28 @@ def test_argument_and_size_errors_exit_2_before_generating(argv, message, no_gen
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_discrepancy_l2_stolarsky_generates_no_points(no_generate, capsys):
+    """The model's rings give the distance sum; its points are never made."""
+    code, out, err = run(["discrepancy", "--simple-M", "3", "--mode", "l2-stolarsky"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == l2_discrepancy_stolarsky(validate(simple_model(3)))
+
+
+def test_metrics_past_a_limit_exits_2_before_reading_the_points_file(no_generate, tmp_path,
+                                                                     monkeypatch, capsys):
+    """With a model, --points is checked only after compute_metrics returns,
+    so a request past a work limit stops before the file is read."""
+    def fail(path):
+        raise AssertionError("the points file was read")
+
+    monkeypatch.setattr(diamondsphere.cli, "_read_points", fail)
+    code, out, err = run(["metrics", "--simple-M", "7", "--sup", "exact",
+                          "--points", str(tmp_path / "pts.csv")], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: points of the exact supremum: 198 over the limit of 150; "
+                   "use --mode estimate (discrepancy) or --sup estimate (metrics)\n")
 
 
 def test_discrepancy_l2_modes_agree(capsys):
@@ -635,13 +687,13 @@ def test_riesz_exponents_are_checked_without_energies(exponent, capsys):
 
 def test_repeated_riesz_exponent_runs_once(monkeypatch, capsys):
     swept = []
-    energy_sums = diamondsphere.metrics._energy_sums
+    ring_sums = diamondsphere.metrics._ring_sums
 
-    def spy(points, model, riesz_s=(), **kw):
+    def spy(model, riesz_s=(), **kw):
         swept.append(riesz_s)
-        return energy_sums(points, model, riesz_s, **kw)
+        return ring_sums(model, riesz_s, **kw)
 
-    monkeypatch.setattr(diamondsphere.metrics, "_energy_sums", spy)
+    monkeypatch.setattr(diamondsphere.metrics, "_ring_sums", spy)
     argv = ["metrics", "--simple-M", "3", "--sup", "none", "--riesz-s"]
     _, once, _ = run(argv + ["1,2"], capsys)
     _, repeated, _ = run(argv + ["1,2,1.0,2"], capsys)

@@ -134,8 +134,7 @@ def test_covering_octahedron(octahedron, octahedron_points):
     assert cov <= rho + 1e-12
     assert cov > rho - 1e-3
     assert upper >= rho - 1e-12
-    assert compute_metrics(octahedron_points, octahedron, energies=False,
-                           sup_mode=None).mesh_ratio == \
+    assert compute_metrics(octahedron, energies=False, sup_mode=None).mesh_ratio == \
         pytest.approx(upper / math.sqrt(2.0), rel=1e-12)
 
 
@@ -146,8 +145,8 @@ def test_covering_estimate_below_certified_bound():
             covering_upper_bound(build_partition(model)) + 1e-12
 
 
-def test_compute_metrics_report_octahedron(octahedron, octahedron_points):
-    rep = compute_metrics(octahedron_points, octahedron,
+def test_compute_metrics_report_octahedron(octahedron):
+    rep = compute_metrics(octahedron,
                           riesz_s=(1.0, 2.0), sup_mode="exact",
                           l2_quadrature=True)
     d = rep.to_dict()
@@ -234,13 +233,13 @@ def test_readme_work_limits_match_the_code():
 
 def test_compute_metrics_runs_a_repeated_exponent_once(octahedron_points, monkeypatch):
     swept = []
-    energy_sums = metrics._energy_sums
+    pair_sums = metrics._pair_sums
 
-    def spy(points, model, riesz_s=(), **kw):
+    def spy(coords, riesz_s=(), **kw):
         swept.append(riesz_s)
-        return energy_sums(points, model, riesz_s, **kw)
+        return pair_sums(coords, riesz_s, **kw)
 
-    monkeypatch.setattr(metrics, "_energy_sums", spy)
+    monkeypatch.setattr(metrics, "_pair_sums", spy)
     rep = compute_metrics(octahedron_points, riesz_s=(1.0, 2.0, 1.0, 2.0), sup_mode=None)
     assert swept == [(1.0, 2.0)]
     assert list(rep.riesz) == ["1.0", "2.0"]
@@ -248,7 +247,7 @@ def test_compute_metrics_runs_a_repeated_exponent_once(octahedron_points, monkey
 
 def test_compute_metrics_constants_for_simple_model():
     model = validate(simple_model(2))
-    rep = compute_metrics(generate(model), model, sup_mode="estimate", sup_samples=500)
+    rep = compute_metrics(model, sup_mode="estimate", sup_samples=500)
     d = rep.to_dict()
     assert math.isclose(d["constants"]["k1"], 1.0 / 32.0, rel_tol=1e-15)
     assert d["envelope_lower"] <= d["d_sup_estimate"] <= d["envelope_upper"]

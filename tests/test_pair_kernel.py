@@ -108,10 +108,10 @@ def test_fused_and_single_kernel_sweeps_agree_exactly():
 def test_compute_metrics_reuses_the_distance_sum():
     model = validate(simple_model(5, theta_policy="seed:3"))
     pts = generate(model)
-    rep = compute_metrics(pts, model, riesz_s=(1.0, 2.0), sup_mode=None)
+    rep = compute_metrics(model, riesz_s=(1.0, 2.0), sup_mode=None)
     riesz_1, riesz_2, log_sum, dist = _ring_sums(model, (1.0, 2.0), log=True, distance=True)
     assert rep.sum_distances == dist
-    assert rep.d_l2_stolarsky == l2_discrepancy_stolarsky(pts, model)
+    assert rep.d_l2_stolarsky == l2_discrepancy_stolarsky(model)
     assert rep.log_energy == log_sum
     assert rep.riesz == {"1.0": riesz_1, "2.0": riesz_2}
     # the ring route against the public sweep functions

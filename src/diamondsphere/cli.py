@@ -174,6 +174,8 @@ def _resolve_model(args) -> DiamondModel | None:
         if args.theta is not None:
             spec = dataclasses.replace(spec, theta_policy=theta)
         return validate(spec)
+    if args.theta is not None:
+        raise ValueError("--theta needs --simple-M or --model")
     return None
 
 
@@ -237,28 +239,31 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _check_ensemble_file(path: str, model: DiamondModel, points: PointSet,
-                         error: type[Exception]) -> None:
-    """Every column of the file must equal what write_points_csv writes for the
-    model; else error names both row counts, or the first differing data row
-    (0-based, as _read_points counts them) and its first differing column."""
+def _check_ensemble_file(path: str, model: DiamondModel,
+                         error: type[Exception]) -> PointSet:
+    """generate(model), once every column of the file equals what
+    write_points_csv writes for it; else error names both row counts, or the
+    first differing data row (0-based, as _read_points counts them) and its
+    first differing column.  The row count is compared before any point is
+    generated, so a file of the wrong size costs only its own parse."""
     table, _ = _read_points(path)  # its points pass PointSet's row checks, as in any file
     if len(table) != model.N:
         raise error(f"{path} does not match the model ensemble: "
                     f"{len(table)} data rows, want {model.N}")
+    points = generate(model)
     bad = [np.flatnonzero(table[k] != np.asarray(v))
            for k, v in zip(CSV_HEADER, _csv_columns(model, points))]
     first = min(((rows[0], c) for c, rows in enumerate(bad) if rows.size), default=None)
     if first is not None:
         raise error(f"{path} does not match the model ensemble: "
                     f"row {first[0]}, column {CSV_HEADER[first[1]]}")
+    return points
 
 
 def cmd_verify(args) -> int:
     model = _resolve_model(args)
-    points = generate(model)
-    if args.points:
-        _check_ensemble_file(args.points, model, points, VerificationFailure)
+    points = (_check_ensemble_file(args.points, model, VerificationFailure) if args.points
+              else generate(model))
     label = certify(build_partition(model), points)
     print(f"ok: all {model.N} regions have area 4*pi/N (exact + float)")
     print("ok: height interleaving certificate")
@@ -277,6 +282,8 @@ def cmd_metrics(args) -> int:
     model = _resolve_model(args)
     if model is None and not args.points:
         raise ValueError("need --points or a model")
+    if model is not None and args.points:
+        _check_ensemble_file(args.points, model, ValueError)
     report = compute_metrics(
         model if model is not None else read_points_csv(args.points),
         riesz_s=riesz_s,
@@ -286,8 +293,6 @@ def cmd_metrics(args) -> int:
         sup_seed=args.seed,
         l2_quadrature=args.l2_quadrature,
     )
-    if model is not None and args.points:  # after compute_metrics' work checks
-        _check_ensemble_file(args.points, model, generate(model), ValueError)
     _dump_json(report.to_dict(), args.json)
     return 0
 
@@ -300,7 +305,7 @@ def cmd_discrepancy(args) -> int:
     _check_work(n, sup_mode=args.mode if args.mode in ("exact", "estimate") else None,
                 sup_samples=args.samples, max_points=args.max_points,
                 quad_centers=args.quad_centers if args.mode == "l2-quadrature" else 0)
-    points = None if args.mode in ("polar", "l2-stolarsky") else generate(model)
+    points = None if args.mode in ("polar", "equatorial", "l2-stolarsky") else generate(model)
     out = {"N": n, "mode": args.mode}
     code = 0
 
@@ -313,7 +318,7 @@ def cmd_discrepancy(args) -> int:
         out["max"] = {"j": prof.argmax_j, "exact": str(prof.max_exact),
                       "value": float(prof.max_exact)}
     elif args.mode == "equatorial":
-        eq = equatorial_discrepancy(model, points)
+        eq = equatorial_discrepancy(model)
         out["exact"] = str(eq.exact)
         out["value"] = float(eq.exact)
         out["counting"] = eq.counting
@@ -349,6 +354,11 @@ def cmd_plot(args) -> int:
         part = build_partition(model)
         svg = plotting.svg_projection(points, part)
     else:
+        for flag, value in (("--simple-M", args.simple_M), ("--model", args.model),
+                            ("--theta", args.theta)):
+            if value is not None:
+                raise ValueError(f"--kind scaling takes no {flag}: it draws the one-piece "
+                                 "model over --M-range")
         largest = validate(simple_model(args.m_range[-1]))  # the most dots of the range
         _check_work(largest.N, sup_mode="estimate", sup_samples=args.samples)
         models = [validate(simple_model(m)) for m in args.m_range]

@@ -2,8 +2,8 @@
 
 Separation and covering radius, both exact on any point set, mesh ratio,
 pairwise energies, and spherical-cap discrepancy: exact polar/equatorial
-profiles for generated ensembles, a certified exact supremum over all
-caps for small sets, a randomized lower estimate of the supremum for
+values from a model's ring table alone, a certified exact supremum over
+all caps for small sets, a randomized lower estimate of the supremum for
 everything else, and the L2 discrepancy by two independent routes (the
 distance-sum identity, and a grid of cap centers with the height
 integral done exactly).
@@ -39,14 +39,12 @@ from .ensemble import DiamondModel, generate, model_constants
 from .geometry import (
     BOUNDARY_TOL,
     DEGENERATE_TOL,
-    NORTH_POLE,
     TWO_PI,
     DuplicatePointError,
     PointSet,
     SphericalCap,
     UnitVec,
     _as_coords,
-    count_in_cap,
     spiral_points,
 )
 from .partition import build_partition, covering_upper_bound
@@ -618,16 +616,14 @@ class EquatorialDiscrepancy:
     counting: float
 
 
-def equatorial_discrepancy(model: DiamondModel,
-                           points: PointSet | None = None) -> EquatorialDiscrepancy:
-    """Discrepancy of the closed upper hemisphere: exact, since its boundary
-    (the equator) carries the r_M points that make the excess, and counted
-    on points, the model's own ensemble when None."""
-    if points is None:
-        points = generate(model)
-    exact = Fraction(int(model.rings.r[model.M]), 2 * model.N)
-    cap = SphericalCap(NORTH_POLE, 0.0)
-    counted = count_in_cap(points, cap, "closed")
+def equatorial_discrepancy(model: DiamondModel) -> EquatorialDiscrepancy:
+    """Discrepancy of the closed upper hemisphere of the model's ensemble:
+    exact, since its boundary (the equator) carries the r_M points that make
+    the excess, and counted from the ring table by count_in_cap's closed rule,
+    z >= -BOUNDARY_TOL, on the heights that generate repeats bit for bit."""
+    rings = model.rings
+    exact = Fraction(int(rings.r[model.M]), 2 * model.N)
+    counted = int(rings.r[rings.z >= -BOUNDARY_TOL].sum())
     return EquatorialDiscrepancy(exact, abs(counted / model.N - 0.5))
 
 
@@ -1034,7 +1030,7 @@ def compute_metrics(source: PointSet | DiamondModel,
         rep.d_polar_profile = [[j, float(v)] for j, v in zip(prof.j, prof.exact)]
         rep.d_polar_max = float(prof.max_exact)
         rep.d_polar_max_exact = str(prof.max_exact)
-        eq = equatorial_discrepancy(model, points)
+        eq = equatorial_discrepancy(model)
         rep.d_equatorial = float(eq.exact)
         rep.d_equatorial_exact = str(eq.exact)
         if model.is_simple:

@@ -117,3 +117,9 @@ def test_metrics_take_one_source_and_no_model(name):
 def test_covering_radius_takes_the_points_only():
     """A partition's certified bound is covering_upper_bound's alone."""
     assert list(inspect.signature(ds.covering_radius).parameters) == ["points"]
+
+
+def test_equatorial_discrepancy_takes_the_model_only():
+    """The hemisphere's count is a fact of the model's rings, so no points
+    can stand beside it."""
+    assert list(inspect.signature(ds.equatorial_discrepancy).parameters) == ["model"]

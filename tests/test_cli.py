@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ import pytest
 
 import diamondsphere
 from diamondsphere import generate, l2_discrepancy_stolarsky, simple_model, validate
-from diamondsphere.cli import CSV_HEADER, main, read_points_csv
+from diamondsphere.cli import CSV_HEADER, main, read_points_csv, write_points_csv
 
 
 def run(argv, capsys):
@@ -314,19 +315,56 @@ def test_discrepancy_l2_stolarsky_generates_no_points(no_generate, capsys):
     assert json.loads(out)["value"] == l2_discrepancy_stolarsky(validate(simple_model(3)))
 
 
-def test_metrics_past_a_limit_exits_2_before_reading_the_points_file(no_generate, tmp_path,
-                                                                     monkeypatch, capsys):
-    """With a model, --points is checked only after compute_metrics returns,
-    so a request past a work limit stops before the file is read."""
-    def fail(path):
-        raise AssertionError("the points file was read")
+def test_discrepancy_equatorial_generates_no_points(no_generate, capsys):
+    """At M = 3 the closed upper hemisphere holds 1 + 4 + 8 + 12 of 38 points."""
+    code, out, err = run(["discrepancy", "--simple-M", "3", "--mode", "equatorial"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"N": 38, "mode": "equatorial", "exact": "3/19",
+                               "value": 3 / 19, "counting": abs(25 / 38 - 0.5)}
 
-    monkeypatch.setattr(diamondsphere.cli, "_read_points", fail)
-    code, out, err = run(["metrics", "--simple-M", "7", "--sup", "exact",
-                          "--points", str(tmp_path / "pts.csv")], capsys)
+
+def test_metrics_points_of_the_wrong_size_exit_2_before_generating(no_generate, tmp_path,
+                                                                    capsys):
+    """With a model, --points is checked first, and its row count before
+    any point is generated: before the work limits too."""
+    pts = tmp_path / "pts.csv"
+    model = validate(simple_model(3))
+    write_points_csv(str(pts), model, generate(model))
+    code, out, err = run(["metrics", "--simple-M", "7", "--sup", "exact", "--points", str(pts)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {pts} does not match the model ensemble: 38 data rows, want 198\n"
+
+
+def test_metrics_matching_points_past_a_limit_exit_2_before_any_metric(tmp_path, monkeypatch,
+                                                                       capsys):
+    pts = str(tmp_path / "pts.csv")
+    run(["gen", "--simple-M", "7", "-o", pts], capsys)
+
+    def fail(points):
+        raise AssertionError("separation ran before the size check")
+
+    monkeypatch.setattr(diamondsphere.metrics, "separation", fail)
+    code, out, err = run(["metrics", "--simple-M", "7", "--sup", "exact", "--points", pts],
+                         capsys)
     assert (code, out) == (2, "")
     assert err == ("error: points of the exact supremum: 198 over the limit of 150; "
                    "use --mode estimate (discrepancy) or --sup estimate (metrics)\n")
+
+
+def test_metrics_wrong_points_exit_2_before_any_metric(tmp_path, monkeypatch, capsys):
+    good = tmp_path / "pts.csv"
+    run(["gen", "--simple-M", "3", "-o", str(good)], capsys)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(_raise_x(5, 1e-13)(good.read_text().splitlines())) + "\n")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the metrics ran before the points file was checked")
+
+    monkeypatch.setattr(diamondsphere.cli, "compute_metrics", fail)
+    code, out, err = run(["metrics", "--simple-M", "3", "--points", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad} does not match the model ensemble: row 5, column x\n"
 
 
 def test_discrepancy_l2_modes_agree(capsys):
@@ -513,6 +551,35 @@ def test_plot_without_model_errors(tmp_path, capsys):
     svg = tmp_path / "no.svg"
     code, _, err = run(["plot", "--kind", "partition", "-o", str(svg)], capsys)
     assert code == 2
+    assert not svg.exists()
+
+
+_NO_MODEL = "error: --theta needs --simple-M or --model\n"
+_SCALING = "error: --kind scaling takes no {}: it draws the one-piece model over --M-range\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["metrics", "--points", "PTS", "--theta", "seed:3"], _NO_MODEL),
+    (["plot", "--theta", "seed:3"], _NO_MODEL),
+    (["plot", "--kind", "scaling", "--simple-M", "3"], _SCALING.format("--simple-M")),
+    (["plot", "--kind", "scaling", "--model", "MODEL"], _SCALING.format("--model")),
+    (["plot", "--kind", "scaling", "--theta", "zeros"], _SCALING.format("--theta")),
+], ids=["metrics-theta", "plot-partition-theta", "scaling-simple-M", "scaling-model",
+        "scaling-theta"])
+def test_a_flag_the_command_would_ignore_exits_2_before_any_work(argv, message, tmp_path,
+                                                                 monkeypatch, capsys):
+    """--theta without a model rotated nothing, and plot --kind scaling drew
+    the same SVG with or without a model or rotations."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the flag check")
+
+    for name in ("_read_points", "generate", "sup_discrepancy_estimate"):
+        monkeypatch.setattr(diamondsphere.cli, name, fail)
+    svg = tmp_path / "out.svg"
+    subs = {"PTS": str(tmp_path / "pts.csv"), "MODEL": _model_file(tmp_path)}
+    argv = [subs.get(a, a) for a in argv] + (["-o", str(svg)] if argv[0] == "plot" else [])
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", message)
     assert not svg.exists()
 
 
@@ -855,3 +922,20 @@ def test_bad_m_range_fails_at_parse_time(value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --M-range" in err and "LO:HI" in err and repr(value) in err
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("diamondsphere ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    """Every example of README's Command line block, in order (verify reads
+    the file that gen writes), exits 0."""
+    commands = _readme_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv, capsys)[0] == 0, argv

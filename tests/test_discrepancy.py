@@ -156,11 +156,23 @@ def test_polar_profile_equals_its_fraction_definition():
 def test_equatorial_matches_polar_max_for_simple():
     for M in (1, 2, 4, 7):
         model = validate(simple_model(M))
-        pts = generate(model)
-        eq = equatorial_discrepancy(model, pts)
+        eq = equatorial_discrepancy(model)
         assert eq.exact == Fraction(parallels_reference(model.spec).r[M - 1], 2 * model.N)
         assert eq.exact == polar_cap_profile(model).max_exact
         assert math.isclose(eq.counting, float(eq.exact), abs_tol=1e-12)
+
+
+def test_equatorial_counting_equals_the_closed_count_on_the_ensemble():
+    """The ring-table count against count_in_cap on the generated points,
+    the route it replaced, bit for bit on seeded multi-piece models."""
+    from diamondsphere import NORTH_POLE, SphericalCap
+    rng = np.random.default_rng(26)
+    models = ([validate(simple_model(M, theta_policy="seed:2")) for M in (1, 3, 6)]
+              + [validate(make_random_spec(rng, m_lo=1, m_hi=60, theta_policy=f"seed:{k}"))
+                 for k in range(40)])
+    for model in models:
+        counted = count_in_cap(generate(model), SphericalCap(NORTH_POLE, 0.0), "closed")
+        assert equatorial_discrepancy(model).counting == abs(counted / model.N - 0.5)
 
 
 def test_sup_exact_octahedron(exact_sup_cache):

@@ -270,12 +270,16 @@ def test_small_sets_separation_covering_mesh():
 
 
 def test_sup_exact_rotation_invariant():
+    """Random sets, and ensembles whose points share parallels, so that ties
+    on a cap's boundary are the normal case; each is also reordered."""
     rng = np.random.default_rng(77)
-    pts = PointSet(random_unit_points(rng, 10))
-    rot = rotation_matrix(rng)
-    base = sup_discrepancy_exact(pts)
-    moved = sup_discrepancy_exact(PointSet(pts.coords @ rot.T))
-    assert abs(base.value - moved.value) <= 1e-12
+    sets = [random_unit_points(rng, n) for n in (10, 40, 40, 40, 40)]
+    sets += [generate(validate(simple_model(M, theta_policy=policy))).coords
+             for M in (2, 3, 4) for policy in ("zeros", "seed:4")]
+    for coords in sets:
+        base = sup_discrepancy_exact(PointSet(coords))
+        moved = coords[rng.permutation(len(coords))] @ rotation_matrix(rng).T
+        assert abs(base.value - sup_discrepancy_exact(PointSet(moved)).value) <= 1e-12
 
 
 # Every public routine that takes raw point rows, except separation, whose

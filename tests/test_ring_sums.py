@@ -96,3 +96,23 @@ def test_ring_sums_report_an_overflowing_riesz_sum(s):
     # a numpy overflow warning fails the test, as in the sweep's CLI test
     with pytest.raises(ValueError, match=f"Riesz sum for s = {s} overflows"):
         _ring_sums(validate(simple_model(10)), (1.0, s), log=True)
+
+
+def test_next_order_energy_coefficients_settle_at_scale():
+    """Past the sweep's reach (N up to 640,002), the ring route's totals must
+    approach the continuous energies like a smooth expansion: on the one-piece
+    model each normalized next-order coefficient falls monotonically, by
+    shrinking steps.  With _RING_ALIAS_TOL at 1e-8 the distance coefficient
+    turns at M = 200 and the log one at M = 400."""
+    coefficients = []
+    for M in (10, 40, 100, 200, 400):
+        model = validate(simple_model(M))
+        N = model.N
+        e1, e_log, s = _ring_sums(model, (1.0,), log=True, distance=True)
+        coefficients.append(((e_log - (0.5 - math.log(2.0)) * N ** 2 + 0.5 * N * math.log(N)) / N,
+                             (e1 - N ** 2) / N ** 1.5,
+                             (4.0 * N ** 2 / 3.0 - s) / math.sqrt(N)))
+    for name, values in zip(("log", "riesz-1", "distance"), zip(*coefficients)):
+        steps = np.diff(values)
+        assert (steps < 0).all(), (name, values)
+        assert (np.abs(steps[1:]) < np.abs(steps[:-1])).all(), (name, values)

@@ -298,13 +298,22 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
+    for flag, value, mode in (("--samples", args.samples, "estimate"),
+                              ("--seed", args.seed, "estimate"),
+                              ("--max-points", args.max_points, "exact"),
+                              ("--quad-centers", args.quad_centers, "l2-quadrature")):
+        if value is not None and args.mode != mode:
+            raise ValueError(f"--mode {args.mode} takes no {flag}: it is for --mode {mode}")
+    samples = _SUP_SAMPLES if args.samples is None else args.samples
+    max_points = SUP_EXACT_MAX_POINTS if args.max_points is None else args.max_points
+    quad_centers = _QUAD_CENTERS if args.quad_centers is None else args.quad_centers
     model = _resolve_model(args)
     if args.check_envelope and not (args.mode in ("exact", "estimate") and model.is_simple):
         raise ValueError("--check-envelope needs --mode exact or estimate and a one-piece model")
     n = model.N
     _check_work(n, sup_mode=args.mode if args.mode in ("exact", "estimate") else None,
-                sup_samples=args.samples, max_points=args.max_points,
-                quad_centers=args.quad_centers if args.mode == "l2-quadrature" else 0)
+                sup_samples=samples, max_points=max_points,
+                quad_centers=quad_centers if args.mode == "l2-quadrature" else 0)
     points = None if args.mode in ("polar", "equatorial", "l2-stolarsky") else generate(model)
     out = {"N": n, "mode": args.mode}
     code = 0
@@ -325,10 +334,10 @@ def cmd_discrepancy(args) -> int:
     elif args.mode == "l2-stolarsky":
         out["value"] = l2_discrepancy_stolarsky(model)
     elif args.mode == "l2-quadrature":
-        out["value"] = l2_discrepancy_quadrature(points, n_centers=args.quad_centers)
+        out["value"] = l2_discrepancy_quadrature(points, n_centers=quad_centers)
     else:
-        sup = (sup_discrepancy_exact(points, max_points=args.max_points) if args.mode == "exact"
-               else sup_discrepancy_estimate(points, n_samples=args.samples, seed=args.seed))
+        sup = (sup_discrepancy_exact(points, max_points=max_points) if args.mode == "exact"
+               else sup_discrepancy_estimate(points, n_samples=samples, seed=args.seed or 0))
         c = sup.witness.center
         out["value"] = sup.value
         out["side"] = sup.side
@@ -347,6 +356,10 @@ def cmd_discrepancy(args) -> int:
 
 def cmd_plot(args) -> int:
     if args.kind == "partition":
+        for flag, value in (("--M-range", args.m_range), ("--samples", args.samples),
+                            ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"--kind partition takes no {flag}: it is for --kind scaling")
         model = _resolve_model(args)
         if model is None:
             raise ValueError("--kind partition needs --simple-M or --model")
@@ -359,13 +372,15 @@ def cmd_plot(args) -> int:
             if value is not None:
                 raise ValueError(f"--kind scaling takes no {flag}: it draws the one-piece "
                                  "model over --M-range")
-        largest = validate(simple_model(args.m_range[-1]))  # the most dots of the range
-        _check_work(largest.N, sup_mode="estimate", sup_samples=args.samples)
-        models = [validate(simple_model(m)) for m in args.m_range]
+        m_range = range(2, 25) if args.m_range is None else args.m_range
+        samples = 2000 if args.samples is None else args.samples
+        largest = validate(simple_model(m_range[-1]))  # the most dots of the range
+        _check_work(largest.N, sup_mode="estimate", sup_samples=samples)
+        models = [validate(simple_model(m)) for m in m_range]
         sup_vals, polar_vals = [], []
         for model in models:
             points = generate(model)
-            sup = sup_discrepancy_estimate(points, n_samples=args.samples, seed=args.seed)
+            sup = sup_discrepancy_estimate(points, n_samples=samples, seed=args.seed or 0)
             sup_vals.append(math.sqrt(model.N) * sup.value)
             prof = polar_cap_profile(model)
             polar_vals.append(math.sqrt(model.N) * float(prof.max_exact))
@@ -432,10 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="estimate",
                    choices=["polar", "equatorial", "exact", "estimate",
                             "l2-stolarsky", "l2-quadrature"])
-    p.add_argument("--samples", type=_count(0), default=_SUP_SAMPLES)
-    p.add_argument("--seed", type=_count(0), default=0)
-    p.add_argument("--max-points", type=_count(2), default=SUP_EXACT_MAX_POINTS)
-    p.add_argument("--quad-centers", type=_count(1), default=_QUAD_CENTERS)
+    # None tells a given flag from an absent one; cmd_discrepancy applies the defaults
+    p.add_argument("--samples", type=_count(0))
+    p.add_argument("--seed", type=_count(0))
+    p.add_argument("--max-points", type=_count(2))
+    p.add_argument("--quad-centers", type=_count(1))
     p.add_argument("--check-envelope", action="store_true",
                    help="exit 3 if the value leaves [sqrt(N-2)/N, (4+2*sqrt(2))/sqrt(N)], "
                         "+-1e-12; one-piece models and --mode exact or estimate only: a pass "
@@ -452,10 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render an SVG figure")
     _add_model_args(p, required=False)
     p.add_argument("--kind", choices=["partition", "scaling"], default="partition")
-    p.add_argument("--M-range", "--m-range", dest="m_range", type=_m_range, default="2:24",
+    # None tells a given flag from an absent one; cmd_plot applies the defaults
+    p.add_argument("--M-range", "--m-range", dest="m_range", type=_m_range,
                    metavar="LO:HI", help="M values for --kind scaling")
-    p.add_argument("--samples", type=_count(0), default=2000)
-    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--samples", type=_count(0))
+    p.add_argument("--seed", type=_count(0))
     p.add_argument("-o", "--output", required=True, metavar="SVG")
     p.set_defaults(func=cmd_plot)
     return ap

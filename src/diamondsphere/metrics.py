@@ -674,7 +674,8 @@ def _sweep_rows(dots: np.ndarray):
     return dev[take], d[take], dev_closed[take] >= dev_open[take]
 
 
-def _sweep_bound(dots: np.ndarray) -> np.ndarray:
+def _sweep_bound(dots: np.ndarray, work: np.ndarray | None = None,
+                 bucket: np.ndarray | None = None) -> np.ndarray:
     """Per row: an upper bound on _sweep_rows' value, with no sort.
 
     B buckets of width w = 2/B split [-1, 1]; bucket q holds the dots d
@@ -690,6 +691,12 @@ def _sweep_bound(dots: np.ndarray) -> np.ndarray:
     bucket index is monotone in d, so rounding moves a dot across at most
     an edge the reach of one bucket already covers; 1e-12 more covers the
     rounding of the areas and of the bound itself.
+
+    work (float) and bucket (np.intp) are scratch buffers of N columns and
+    at least as many rows as dots, which the call overwrites in their
+    leading rows; without them it allocates its own.
+    tests/conftest.py::sweep_bound_reference, which allocates every
+    temporary, is the reference.
     """
     rows, n = dots.shape
     # B = 4 sqrt(N) was the fastest of 2, 4, 8 and 16 sqrt(N) at every N
@@ -697,7 +704,12 @@ def _sweep_bound(dots: np.ndarray) -> np.ndarray:
     # the B-wide passes cost more than the few rows they prune.  The bound
     # costs O(N + B) a row against the sweep's O(N log N) sort.
     B = int(4 * math.sqrt(n))
-    bucket = ((dots + 1.0) * (B / 2)).astype(np.intp)
+    if work is None:
+        work, bucket = np.empty(dots.shape), np.empty(dots.shape, np.intp)
+    work, bucket = work[:rows], bucket[:rows]
+    # in place, the two roundings of ((dots + 1.0) * (B / 2)).astype(np.intp)
+    np.add(dots, 1.0, out=work)
+    np.multiply(work, B / 2, out=bucket, casting="unsafe")
     np.clip(bucket, 0, B - 1, out=bucket)
     bucket += np.arange(0, rows * B, B)[:, None]
     counts = np.bincount(bucket.ravel(), minlength=rows * B).reshape(rows, B)
@@ -728,11 +740,23 @@ def _best_witness(blocks) -> SupDiscrepancy:
 
 
 # Dot products per block of centers in sup_discrepancy_estimate and
-# l2_discrepancy_quadrature.  The estimate keeps the block's dots, and its
-# bucket bound one float and one index copy of them, beside the sweep's
-# copies of the few rows that pass the bound, so this sets the estimate's
-# peak memory; results of either routine do not depend on it.
-_SUP_BLOCK_DOTS = 2_000_000
+# l2_discrepancy_quadrature.  Each routine fills one (block, N) float buffer
+# per call, and the estimate's bucket bound one float and one index buffer of
+# that shape, so the three buffers, 6 MB, set the estimate's peak memory
+# beside the sweep's copies of the few rows that pass the bound.  2^18 dots
+# (a 2 MB float block) was the fastest of 2^15 to 2^21 for the estimate at
+# N = 6,402 (one BLAS thread, 2 MB of L2 cache per core); the result of
+# either routine does not depend on it, but for a one-row last block
+# (_block_rows).
+_SUP_BLOCK_DOTS = 2**18
+
+
+def _block_rows(n: int) -> int:
+    """Centers per block of _SUP_BLOCK_DOTS dots against n points, at least
+    two: numpy sends a one-row product to BLAS's matrix-vector kernel, whose
+    dots can round otherwise in the last bit.  A last block can still have
+    one row, when the centers number one more than a multiple of it."""
+    return max(2, _SUP_BLOCK_DOTS // n)
 
 
 def _blocked(arrays, block: int):
@@ -832,10 +856,13 @@ def sup_discrepancy_estimate(points, n_samples: int = _SUP_SAMPLES,
     that center can give more.
 
     The poles go first, and a later block sorts and sweeps only the rows
-    whose _sweep_bound reaches the best value found so far.  A skipped
-    row's value lies at or below its bound, strictly below a value an
-    earlier row attains, so it is never the first row with the largest
-    value: the result is the one every row swept would give.
+    whose _sweep_bound reaches the best value found so far; a block with
+    no such row is neither copied nor swept.  A skipped row's value lies
+    at or below its bound, strictly below a value an earlier row attains,
+    so it is never the first row with the largest value: the result is
+    the one every row swept would give.  The blocks' dots and the bound's
+    scratch go to three (block, N) buffers allocated once per call
+    (_SUP_BLOCK_DOTS).
     tests/conftest.py::sup_estimate_reference, which sweeps every row, is
     the reference.  Past its limit it stops before any work (_check_work).
     """
@@ -848,17 +875,20 @@ def sup_discrepancy_estimate(points, n_samples: int = _SUP_SAMPLES,
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    block = max(64, int(_SUP_BLOCK_DOTS // n))
+    block = _block_rows(n)
+    buffer, work = np.empty((2, min(block, n_samples + 2), n))
+    bucket = np.empty(work.shape, np.intp)
     best = -np.inf
 
     def pruned_sweeps():
         nonlocal best
         for c in _blocked([poles, centers], block):
-            dots = c @ coords.T
-            keep = _sweep_bound(dots) >= best
-            value, t, closed = _sweep_rows(dots[keep])
-            best = max(best, value.max(initial=-np.inf))
-            yield c[keep], value, t, closed
+            dots = np.matmul(c, coords.T, out=buffer[:len(c)])
+            keep = _sweep_bound(dots, work, bucket) >= best
+            if keep.any():
+                value, t, closed = _sweep_rows(dots[keep])
+                best = max(best, value.max())
+                yield c[keep], value, t, closed
 
     return _best_witness(pruned_sweeps())
 
@@ -916,10 +946,11 @@ def l2_discrepancy_quadrature(points, n_centers: int = _QUAD_CENTERS) -> float:
         _check_work(n, quad_centers=n_centers)
     centers = spiral_points(n_centers)
     offsets = (n - 1 - 2 * np.arange(n)) / n
-    block = max(64, int(_SUP_BLOCK_DOTS // max(n, 1)))
+    block = _block_rows(n)
+    buffer = np.empty((min(block, n_centers), n))
     rows = []
     for c in _blocked([centers], block):
-        dots = c @ coords.T
+        dots = np.matmul(c, coords.T, out=buffer[:len(c)])
         dots.sort(axis=1)
         dots += offsets
         rows.append(np.square(dots, out=dots).sum(axis=1))

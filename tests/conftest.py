@@ -150,6 +150,30 @@ def sweep_rows_reference(dots: np.ndarray):
     return dev[take], d[take], np.where(use_closed[take], 1, -1)
 
 
+def sweep_bound_reference(dots: np.ndarray) -> np.ndarray:
+    """metrics._sweep_bound with a fresh array for every step.
+
+    The reference for the in-place bound, which writes the bucket indices
+    into scratch buffers through the same two roundings; the two must
+    agree bit for bit.
+    """
+    rows, n = dots.shape
+    B = int(4 * math.sqrt(n))
+    bucket = ((dots + 1.0) * (B / 2)).astype(np.intp)
+    np.clip(bucket, 0, B - 1, out=bucket)
+    bucket += np.arange(0, rows * B, B)[:, None]
+    counts = np.bincount(bucket.ravel(), minlength=rows * B).reshape(rows, B)
+    reach = np.zeros((rows, B + 3))
+    reach[:, 0] = n
+    reach[:, 1:B + 1] = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+    reach /= n
+    q = np.arange(B)
+    closed = reach[:, :B] - (1.0 - (q + 1) / B)
+    opened = (1.0 - q / B) - reach[:, 3:]
+    bound = np.where(counts > 0, np.maximum(closed, opened), -np.inf)
+    return bound.max(axis=1) + 1e-12
+
+
 def best_over_centers_reference(coords: np.ndarray, center_blocks) -> SupDiscrepancy:
     """sweep_rows_reference over blocks of centers: the first center with
     the largest value."""
@@ -187,9 +211,9 @@ def sup_estimate_reference(points, n_samples: int = 10_000,
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     centers = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    block = max(64, int(metrics._SUP_BLOCK_DOTS // max(n, 1)))
     return metrics._best_witness((c, *metrics._sweep_rows(c @ coords.T))
-                                 for c in metrics._blocked([poles, centers], block))
+                                 for c in metrics._blocked([poles, centers],
+                                                           metrics._block_rows(n)))
 
 
 def cap_centers(coords: np.ndarray):

@@ -556,6 +556,9 @@ def test_plot_without_model_errors(tmp_path, capsys):
 
 _NO_MODEL = "error: --theta needs --simple-M or --model\n"
 _SCALING = "error: --kind scaling takes no {}: it draws the one-piece model over --M-range\n"
+_MODE = "error: --mode {} takes no {}: it is for --mode {}\n"
+_PARTITION = "error: --kind partition takes no {}: it is for --kind scaling\n"
+_M2 = ["--simple-M", "2"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -564,12 +567,27 @@ _SCALING = "error: --kind scaling takes no {}: it draws the one-piece model over
     (["plot", "--kind", "scaling", "--simple-M", "3"], _SCALING.format("--simple-M")),
     (["plot", "--kind", "scaling", "--model", "MODEL"], _SCALING.format("--model")),
     (["plot", "--kind", "scaling", "--theta", "zeros"], _SCALING.format("--theta")),
+    (["discrepancy", *_M2, "--mode", "polar", "--samples", "5"],
+     _MODE.format("polar", "--samples", "estimate")),
+    (["discrepancy", *_M2, "--mode", "exact", "--seed", "9"],
+     _MODE.format("exact", "--seed", "estimate")),
+    (["discrepancy", *_M2, "--max-points", "3"],
+     _MODE.format("estimate", "--max-points", "exact")),
+    (["discrepancy", *_M2, "--mode", "l2-stolarsky", "--quad-centers", "7"],
+     _MODE.format("l2-stolarsky", "--quad-centers", "l2-quadrature")),
+    (["plot", *_M2, "--M-range", "1:2"], _PARTITION.format("--M-range")),
+    (["plot", *_M2, "--samples", "5"], _PARTITION.format("--samples")),
+    (["plot", *_M2, "--kind", "partition", "--seed", "9"], _PARTITION.format("--seed")),
 ], ids=["metrics-theta", "plot-partition-theta", "scaling-simple-M", "scaling-model",
-        "scaling-theta"])
+        "scaling-theta", "polar-samples", "exact-seed", "estimate-max-points",
+        "l2-stolarsky-quad-centers", "partition-M-range", "partition-samples",
+        "partition-seed"])
 def test_a_flag_the_command_would_ignore_exits_2_before_any_work(argv, message, tmp_path,
                                                                  monkeypatch, capsys):
-    """--theta without a model rotated nothing, and plot --kind scaling drew
-    the same SVG with or without a model or rotations."""
+    """--theta without a model rotated nothing, plot --kind scaling drew
+    the same SVG with or without a model or rotations, and a discrepancy mode
+    or plot --kind partition printed the same bytes with or without the
+    flags of another mode or kind."""
     def fail(*args, **kwargs):
         raise AssertionError("work ran before the flag check")
 
@@ -581,6 +599,23 @@ def test_a_flag_the_command_would_ignore_exits_2_before_any_work(argv, message, 
     code, out, err = run(argv, capsys)
     assert (code, out, err) == (2, "", message)
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["discrepancy", *_M2, "--mode", "estimate"], ["--samples", "10000", "--seed", "0"]),
+    (["discrepancy", *_M2, "--mode", "exact"], ["--max-points", "150"]),
+    (["discrepancy", *_M2, "--mode", "l2-quadrature"], ["--quad-centers", "4096"]),
+    (["plot", "--kind", "scaling"], ["--M-range", "2:24", "--samples", "2000", "--seed", "0"]),
+], ids=["estimate", "exact", "l2-quadrature", "scaling"])
+def test_a_mode_flag_left_out_takes_its_default(argv, defaults, tmp_path, capsys):
+    """The handlers apply the defaults the parser no longer holds."""
+    runs = []
+    for extra in ([], defaults):
+        svg = tmp_path / "out.svg"
+        code, out, err = run(argv + extra + (["-o", str(svg)] if argv[0] == "plot" else []),
+                             capsys)
+        runs.append((code, out, err, svg.read_text() if argv[0] == "plot" else None))
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_theta_list_flag(tmp_path, capsys):

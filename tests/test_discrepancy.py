@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
     random_unit_points,
     sup_estimate_reference,
     sup_exact_reference,
+    sweep_bound_reference,
     sweep_rows_reference,
 )
 from diamondsphere import metrics
@@ -297,15 +299,18 @@ def test_sup_estimate_deterministic_and_stable(simple_suite):
     assert max(vals) - min(vals) < 5e-3
 
 
-@pytest.mark.parametrize("budget", [1, 40_000, 300_000, 10**9])
+# A budget of 1 gives two-row blocks, the floor; 100,000 leaves a short last
+# block at both N (306 rows a block at N = 326, 389 at N = 257).  On the 60
+# random points, one-row blocks (BLAS's matrix-vector product) would change
+# the estimate.
+@pytest.mark.parametrize("budget", [1, 40_000, 100_000, 300_000, 10**9])
 def test_sup_estimate_independent_of_block_size(budget, monkeypatch):
-    model_pts = generate(validate(simple_model(9, theta_policy="seed:2")))
-    random_pts = PointSet(random_unit_points(np.random.default_rng(6), 257))
-    want = [sup_discrepancy_estimate(p, n_samples=3000, seed=4)
-            for p in (model_pts, random_pts)]
+    sets = [generate(validate(simple_model(9, theta_policy="seed:2"))),
+            PointSet(random_unit_points(np.random.default_rng(6), 257)),
+            PointSet(random_unit_points(np.random.default_rng(1), 60))]
+    want = [sup_discrepancy_estimate(p, n_samples=3000, seed=4) for p in sets]
     monkeypatch.setattr(metrics, "_SUP_BLOCK_DOTS", budget)
-    got = [sup_discrepancy_estimate(p, n_samples=3000, seed=4)
-           for p in (model_pts, random_pts)]
+    got = [sup_discrepancy_estimate(p, n_samples=3000, seed=4) for p in sets]
     assert got == want
 
 
@@ -487,7 +492,45 @@ def bucket_edge_rows() -> np.ndarray:
 def test_sweep_bound_dominates_every_row(name):
     dots = bucket_edge_rows() if name == "bucket-edges" else sweep_rows_inputs(name)
     value, _, _ = metrics._sweep_rows(dots)
-    assert np.all(metrics._sweep_bound(dots) >= value)
+    bound = metrics._sweep_bound(dots)
+    assert np.array_equal(bound, sweep_bound_reference(dots))
+    assert np.all(bound >= value)
+
+
+def test_sweep_bound_reads_only_its_rows_of_the_scratch():
+    """The report-size rows (M = 40, seed:3: the poles and 2,000 centers) in
+    the estimate's blocks, through scratch buffers longer than a block that
+    keep the previous block's rows: the short last block must not read them."""
+    dots = sweep_rows_inputs("M40-seed:3")
+    rows, n = dots.shape
+    block = metrics._block_rows(n)
+    assert 0 < rows % block < block
+    work = np.full((block + 5, n), np.nan)
+    bucket = np.zeros(work.shape, np.intp)
+    got = [metrics._sweep_bound(dots[a:a + block], work, bucket) for a in range(0, rows, block)]
+    assert np.array_equal(np.concatenate(got), sweep_bound_reference(dots))
+
+
+def _allocation_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_center_sweeps_allocate_their_buffers_once():
+    """The estimate's peak is its three (block, N) buffers and the
+    quadrature's its one, plus O(N + centers) for the centers and the pole
+    rows' sweep; a block's dots never live beside the previous block's."""
+    block_bytes = 8 * metrics._SUP_BLOCK_DOTS
+    pts = generate(validate(simple_model(40, theta_policy="seed:3")))  # N = 6,402
+    peak = _allocation_peak(lambda: sup_discrepancy_estimate(pts, n_samples=2000, seed=3))
+    assert peak <= 3 * block_bytes + 128 * (6402 + 2000)
+    pts = generate(validate(simple_model(20)))  # N = 1,602
+    peak = _allocation_peak(lambda: l2_discrepancy_quadrature(pts))
+    assert peak <= block_bytes + 128 * (1602 + 4096)
 
 
 def sup_estimate_inputs(name: str) -> PointSet:
@@ -607,7 +650,7 @@ def test_l2_quadrature_matches_gauss_legendre_reference():
         assert math.isclose(got, want, rel_tol=1e-3)
 
 
-@pytest.mark.parametrize("budget", [1, 40_000, 300_000, 10**9])
+@pytest.mark.parametrize("budget", [1, 40_000, 100_000, 300_000, 10**9])
 def test_l2_quadrature_independent_of_block_size(budget, monkeypatch):
     model_pts = generate(validate(simple_model(9)))
     random_pts = PointSet(random_unit_points(np.random.default_rng(6), 257))
